@@ -59,7 +59,9 @@ void BackendConnector::ForgetSessionTable(const std::string& name) {
 void BackendConnector::OnSessionLost() {
   losses_.fetch_add(1, std::memory_order_relaxed);
   if (session_losses_counter_ != nullptr) session_losses_counter_->Inc();
-  session_down_.store(true, std::memory_order_relaxed);
+  // The next attempt runs on a new backend session; bumping the epoch now
+  // lets the service see the loss (and replay its journal) before it.
+  epoch_.fetch_add(1, std::memory_order_relaxed);
   // The backend discards session-scoped state with the dying session; the
   // drops go straight to the engine (the "new" connection's view), not
   // through the fault-injected request path.
@@ -108,11 +110,6 @@ Result<BackendResult> BackendConnector::ExecuteWithRetry(
     // The pool's liveness verdict for this backend instance: a hard-killed
     // replica fails here with kSessionLost{kBackendDown} before any work.
     if (options_.liveness) HQ_RETURN_IF_ERROR(options_.liveness());
-    // A lost session reconnects transparently at the next attempt; the
-    // epoch bump is what tells the service its journal must be replayed.
-    if (session_down_.exchange(false, std::memory_order_relaxed)) {
-      epoch_.fetch_add(1, std::memory_order_relaxed);
-    }
     Status lost =
         FaultInjector::Global().Check(faultpoints::kBackendSessionLost);
     if (!lost.ok()) {

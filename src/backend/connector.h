@@ -80,9 +80,10 @@ struct ConnectorOptions {
 
   // --- Fleet wiring (DESIGN.md §10) ---------------------------------------
   /// When set, attempts are admitted through this breaker instead of the
-  /// connector's own: the pool shares one breaker per backend instance
-  /// across every session bound to it, so one session's failures protect
-  /// them all. Must outlive the connector (the pool owns both).
+  /// connector's own: a pool of more than one backend shares one breaker
+  /// per instance across every session bound to it, so one session's
+  /// failures steer them all elsewhere. Must outlive the connector (the
+  /// pool owns both).
   CircuitBreaker* shared_breaker = nullptr;
   /// Pool liveness hook, consulted at attempt start and at every batch
   /// boundary while packaging; a non-OK status aborts the attempt. The
@@ -132,9 +133,9 @@ class BackendConnector {
   // --- Backend-session failover (DESIGN.md §6, "Failover & overload") ----
 
   /// \brief Monotonic identity of the backend session. Starts at 1 and is
-  /// bumped each time the connector transparently re-establishes its
-  /// session after a loss; the service compares this against its recorded
-  /// epoch to know when a journal replay has happened.
+  /// bumped when the session is lost (the next attempt transparently runs
+  /// on a new one); the service compares it against the epoch its journal
+  /// was last replayed onto to know when a replay is due.
   int64_t connection_epoch() const {
     return epoch_.load(std::memory_order_relaxed);
   }
@@ -155,7 +156,7 @@ class BackendConnector {
                                          bool is_script, QueryContext* ctx);
   Result<BackendResult> Package(vdb::QueryResult result, QueryContext* ctx);
   /// Simulates the backend killing this session: drops session-scoped
-  /// tables and marks the connection down until the next attempt.
+  /// tables and bumps the epoch.
   void OnSessionLost();
 
   vdb::Engine* engine_;
@@ -169,7 +170,6 @@ class BackendConnector {
   observability::Histogram* backoff_histogram_ = nullptr;
   std::atomic<int64_t> epoch_{1};
   std::atomic<int64_t> losses_{0};
-  std::atomic<bool> session_down_{false};
   std::mutex tables_mutex_;
   std::vector<std::string> session_tables_;
 };

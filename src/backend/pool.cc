@@ -120,6 +120,26 @@ void BackendPool::EvaluateLocked(Instance& inst,
                     : BackendHealth::kHealthy;
 }
 
+std::string BackendPool::profile_digest(size_t i) const {
+  const Instance& inst = *instances_[i];
+  std::lock_guard<std::mutex> lock(inst.mutex);
+  return inst.digest;
+}
+
+bool BackendPool::CanServe(size_t i,
+                           const transform::BackendProfile& emitted) const {
+  const Instance& inst = *instances_[i];
+  std::lock_guard<std::mutex> lock(inst.mutex);
+  return inst.spec.profile.CanServe(emitted);
+}
+
+void BackendPool::Reprofile(size_t i, transform::BackendProfile profile) {
+  Instance& inst = *instances_[i];
+  std::lock_guard<std::mutex> lock(inst.mutex);
+  inst.digest = profile.CacheKeyDigest();
+  inst.spec.profile = std::move(profile);
+}
+
 BackendHealth BackendPool::health(size_t i) {
   Instance& inst = *instances_[i];
   if (inst.killed.load(std::memory_order_relaxed)) {
@@ -212,7 +232,11 @@ std::unique_ptr<BackendConnector> BackendPool::CreateConnector(
   if (opts.governor == nullptr) opts.governor = options_.governor;
   if (opts.metrics == nullptr) opts.metrics = options_.metrics;
   opts.session_tag = session_tag;
-  opts.shared_breaker = &inst.breaker;
+  // A shared breaker steers every session away from a failing instance
+  // (kBreakerOpen is failover-eligible). A pool of one has nowhere to steer
+  // to, so there one session's flakes must not refuse all the others: each
+  // connector keeps its own breaker.
+  if (instances_.size() > 1) opts.shared_breaker = &inst.breaker;
   opts.backend_name = inst.spec.name;
   Instance* inst_ptr = &inst;
   opts.liveness = [inst_ptr]() -> Status {

@@ -4,8 +4,9 @@
 // targets behind an unchanged client fleet (§2, §7). This subsystem holds
 // the per-instance machinery that makes a fleet safe to route over: each
 // registered backend carries its own capability profile, a circuit breaker
-// shared by every session bound to it, an in-flight count, and a health
-// score fed by both passive error observation and an active prober.
+// shared by every session bound to it (in a pool of more than one), an
+// in-flight count, and a health score fed by both passive error
+// observation and an active prober.
 //
 // Health state machine:
 //
@@ -113,10 +114,16 @@ class BackendPool {
   BackendPool& operator=(const BackendPool&) = delete;
 
   size_t size() const { return instances_.size(); }
+  /// \brief Registration of backend `i`. Its `profile` may be replaced by
+  /// Reprofile(); read it through CanServe()/profile_digest() instead.
   const BackendSpec& spec(size_t i) const { return instances_[i]->spec; }
-  const std::string& profile_digest(size_t i) const {
-    return instances_[i]->digest;
-  }
+  std::string profile_digest(size_t i) const;
+  /// \brief True when backend `i` can run SQL-B serialized under `emitted`
+  /// (BackendProfile::CanServe).
+  bool CanServe(size_t i, const transform::BackendProfile& emitted) const;
+  /// \brief Re-targets backend `i` at another profile (the dialect switch of
+  /// a pool of one). Safe against concurrent routing and probing.
+  void Reprofile(size_t i, transform::BackendProfile profile);
   vdb::Engine* engine(size_t i) const { return instances_[i]->engine; }
   CircuitBreaker* breaker(size_t i) { return &instances_[i]->breaker; }
 
@@ -162,8 +169,9 @@ class BackendPool {
   }
 
   /// \brief Builds a session connector bound to backend `i`: the instance's
-  /// engine, shared breaker, liveness hook, and name, plus the pool's
-  /// governor/metrics and the caller's session tag.
+  /// engine, shared breaker (pools of more than one backend), liveness
+  /// hook, and name, plus the pool's governor/metrics and the caller's
+  /// session tag.
   std::unique_ptr<BackendConnector> CreateConnector(size_t i,
                                                     uint64_t session_tag);
 
@@ -210,8 +218,9 @@ class BackendPool {
     std::atomic<int> slow_ms{0};  // chaos: per-attempt stall, 0 = none
     std::atomic<int> in_flight{0};
     AdaptiveLimit limiter;
-    // Health state below is guarded by `mutex` (per-instance, so scoring
-    // one backend never contends with routing reads of another).
+    // Health state below, and `spec.profile`/`digest`, are guarded by
+    // `mutex` (per-instance, so scoring one backend never contends with
+    // routing reads of another).
     mutable std::mutex mutex;
     double score = 0;
     BackendHealth health = BackendHealth::kHealthy;

@@ -25,6 +25,7 @@ Result<RouteDecision> Router::Pick(const RouteConstraints& constraints) {
     BackendHealth health;
   };
   std::vector<Candidate> eligible;
+  int fallback = -1;  // an EJECTED but not killed backend; last resort
   bool digest_blocked_live_backend = false;
   for (size_t i = 0; i < pool_->size(); ++i) {
     int idx = static_cast<int>(i);
@@ -33,22 +34,28 @@ Result<RouteDecision> Router::Pick(const RouteConstraints& constraints) {
       continue;
     }
     BackendHealth h = pool_->health(i);
-    if (h == BackendHealth::kEjected) continue;
+    bool ejected = h == BackendHealth::kEjected;
+    if (ejected && pool_->killed(i)) continue;
     if (constraints.emitted != nullptr &&
-        !pool_->spec(i).profile.CanServe(*constraints.emitted)) {
+        !pool_->CanServe(i, *constraints.emitted)) {
       continue;
     }
     if (constraints.require_profile_digest &&
         pool_->profile_digest(i) != constraints.profile_digest) {
       // Alive and capable, rejected only because it cannot honor the
       // session's journaled state — remember that for the error taxonomy.
-      digest_blocked_live_backend = true;
+      if (!ejected) digest_blocked_live_backend = true;
+      continue;
+    }
+    if (ejected) {
+      if (fallback < 0 || idx == constraints.sticky) fallback = idx;
       continue;
     }
     eligible.push_back({idx, h});
   }
 
   if (eligible.empty()) {
+    if (fallback >= 0) return RouteDecision{fallback, "fallback"};
     if (digest_blocked_live_backend) {
       return Status::Unavailable(
                  "no replica matches the session's backend profile "

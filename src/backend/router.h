@@ -12,6 +12,10 @@
 //     DEGRADED as probation fallback), power-of-two-choices by in-flight
 //     count: two seeded picks, the less-loaded one wins. Deterministic —
 //     the PRNG is a pure function of (seed, pick ordinal).
+//  4. Last resort — when nothing else qualifies, an EJECTED backend that is
+//     not hard-killed still serves (sticky one first). Ejection is a
+//     preference learned from liveness noise; turning it into a refusal
+//     would take a pool of one offline whenever its only backend flaps.
 //
 // When no candidate survives, the error distinguishes *why*: if at least
 // one live, capable backend was rejected only by the profile-digest
@@ -50,7 +54,8 @@ struct RouteConstraints {
 
 struct RouteDecision {
   int backend = -1;
-  /// "sticky" | "only" | "p2c" | "probation" — the route-metric label.
+  /// "sticky" | "only" | "p2c" | "probation" | "fallback" — the
+  /// route-metric label.
   std::string reason;
 };
 

@@ -30,9 +30,17 @@
 
 namespace hyperq::binder {
 
+/// \brief First column id handed to post-binding transformation rules: the
+/// binder numbers from 1, so rules allocating from here never collide with
+/// ids already in the bound tree.
+inline constexpr int kRuleColIdBase = 1000001;
+
 /// \brief Allocates column ids unique within one query tree.
 class ColIdGenerator {
  public:
+  ColIdGenerator() = default;
+  explicit ColIdGenerator(int first) : next_(first) {}
+
   int Next() { return next_++; }
   int current() const { return next_; }
 

@@ -217,10 +217,11 @@ void InvariantAuditor::AuditGovernor(
   int64_t cache_held = 0;
   do {
     stats = options_.governor->stats();
-    cache_held = options_.service != nullptr
-                     ? static_cast<int64_t>(
-                           options_.service->translation_cache_stats().bytes)
-                     : 0;
+    cache_held =
+        options_.service != nullptr
+            ? static_cast<int64_t>(
+                  options_.service->StatsSnapshot().translation_cache.bytes)
+            : 0;
     if (stats.memory_bytes == cache_held && stats.spill_bytes == 0) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   } while (std::chrono::steady_clock::now() < deadline);

@@ -125,30 +125,35 @@ HyperQService::HyperQService(vdb::Engine* engine, ServiceOptions options)
   brownout_ = std::make_unique<BrownoutController>(options_.tail.brownout,
                                                    options_.governor.get());
 
-  // Fleet mode (DESIGN.md §10): registered backends get a pool + router;
-  // sessions are then placed by the router instead of binding the engine.
-  if (!options_.fleet.backends.empty()) {
-    backend::PoolOptions pool_options;
-    pool_options.health = options_.fleet.health;
-    pool_options.connector = options_.connector;
-    pool_options.connector.retry_budget = retry_budget_.get();
-    pool_options.adaptive_limit = options_.tail.adaptive_limit;
-    pool_options.governor = options_.governor;
-    pool_options.metrics = metrics_;
-    pool_ = std::make_unique<backend::BackendPool>(
-        engine_, options_.fleet.backends, std::move(pool_options));
-    router_ =
-        std::make_unique<backend::Router>(pool_.get(),
-                                          options_.fleet.route_seed);
-    pool_->Start();
+  // Every backend is reached through the pool + router (DESIGN.md §10). A
+  // service with no fleet config is a pool of one: the service's engine,
+  // registered under the emitted profile and named after it.
+  std::vector<backend::BackendSpec> backends = options_.fleet.backends;
+  if (backends.empty()) {
+    backend::BackendSpec implicit;
+    implicit.name = options_.profile.name;
+    implicit.profile = options_.profile;
+    backends.push_back(std::move(implicit));
   }
+  backend::PoolOptions pool_options;
+  pool_options.health = options_.fleet.health;
+  pool_options.connector = options_.connector;
+  pool_options.connector.retry_budget = retry_budget_.get();
+  pool_options.adaptive_limit = options_.tail.adaptive_limit;
+  pool_options.governor = options_.governor;
+  pool_options.metrics = metrics_;
+  pool_ = std::make_unique<backend::BackendPool>(engine_, std::move(backends),
+                                                 std::move(pool_options));
+  router_ = std::make_unique<backend::Router>(pool_.get(),
+                                              options_.fleet.route_seed);
+  pool_->Start();
 }
 
 HyperQService::~HyperQService() {
   // Hedge-loser threads hold pool connectors; every one must drain before
   // the pool (and its breakers/governor hooks) shuts down.
   ReapHedgeStragglers(/*all=*/true);
-  if (pool_ != nullptr) pool_->Stop();
+  pool_->Stop();
 }
 
 Result<uint32_t> HyperQService::OpenSession(
@@ -160,33 +165,19 @@ Result<uint32_t> HyperQService::OpenSession(
   if (!default_database.empty()) {
     session->info.default_database = default_database;
   }
-  if (pool_ != nullptr) {
-    // Fleet placement: the router picks the session's home backend by
-    // health, load, and capability match with the emitted profile.
+  // Placement: the router picks the session's home backend by health,
+  // load, and capability match with the emitted profile (read under mutex_,
+  // which SwitchBackendDialect holds while it re-profiles).
+  backend::RouteDecision route;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
     backend::RouteConstraints constraints;
     constraints.emitted = &options_.profile;
-    HQ_ASSIGN_OR_RETURN(backend::RouteDecision route,
-                        router_->Pick(constraints));
-    RecordRoute(route);
-    session->backend_index = route.backend;
-    session->connector = pool_->CreateConnector(route.backend, session->id);
-  } else {
-    // Result buffering/spill for this session is charged against the
-    // shared governor under the session's id (DESIGN.md §8).
-    backend::ConnectorOptions connector_options = options_.connector;
-    if (connector_options.governor == nullptr) {
-      connector_options.governor = options_.governor;
-    }
-    connector_options.session_tag = session->id;
-    if (connector_options.metrics == nullptr) {
-      connector_options.metrics = metrics_;
-    }
-    if (connector_options.retry_budget == nullptr) {
-      connector_options.retry_budget = retry_budget_.get();
-    }
-    session->connector = std::make_unique<backend::BackendConnector>(
-        engine_, connector_options);
+    HQ_ASSIGN_OR_RETURN(route, router_->Pick(constraints));
   }
+  RecordRoute(route);
+  session->backend_index = route.backend;
+  session->connector = pool_->CreateConnector(route.backend, session->id);
   session->backend_epoch = session->connector->connection_epoch();
   session->settings_digest = SettingsDigest(session->info);
   uint32_t id = session->id;
@@ -238,41 +229,6 @@ void HyperQService::ResetStats() {
   stats_ = WorkloadFeatureStats();
 }
 
-// The deprecated typed accessors are views over the registry now: each
-// field reads the counter (or histogram sum) that replaced it.
-ServiceResilienceStats HyperQService::resilience_stats() const {
-  ServiceResilienceStats out;
-  out.failovers = c_failovers_->value();
-  out.statements_replayed = c_statements_replayed_->value();
-  out.aborted_in_txn = c_aborted_in_txn_->value();
-  out.journal_overflows = c_journal_overflows_->value();
-  out.wire_requests = c_wire_requests_->value();
-  out.wire_conversion_micros = h_wire_convert_->snapshot().sum;
-  return out;
-}
-
-TranslationActivityStats HyperQService::translation_activity() const {
-  TranslationActivityStats out;
-  out.submit_statements = c_submit_statements_->value();
-  out.translate_statements = c_translate_statements_->value();
-  out.cache_hits = c_translate_cache_hits_->value();
-  out.translate_micros = h_translate_->snapshot().sum;
-  return out;
-}
-
-ServiceLifecycleStats HyperQService::lifecycle_stats() const {
-  ServiceLifecycleStats out;
-  out.cancelled = c_cancelled_->value();
-  out.deadline_expired = c_deadline_expired_->value();
-  out.client_gone = c_client_gone_->value();
-  out.killed = c_killed_->value();
-  out.spill_bytes = c_spill_bytes_->value();
-  if (options_.governor != nullptr) {
-    out.shed_queries = options_.governor->stats().shed_queries;
-  }
-  return out;
-}
-
 size_t HyperQService::open_sessions() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return sessions_.size();
@@ -299,7 +255,7 @@ void HyperQService::MirrorExternalGauges() const {
   }
   // Per-backend health/in-flight levels and the per-state backend counts
   // (the lint-checked kHealthStateMetrics table).
-  if (pool_ != nullptr) pool_->MirrorGauges();
+  pool_->MirrorGauges();
   // Tail-tolerance levels (DESIGN.md §11): budget tokens and brownout
   // state, mirrored so one scrape shows the whole control loop.
   {
@@ -346,10 +302,27 @@ ServiceStatsSnapshot HyperQService::StatsSnapshot() const {
   ServiceStatsSnapshot snap;
   snap.metrics = metrics_->Snapshot();
   snap.features = stats();
-  snap.resilience = resilience_stats();
-  snap.lifecycle = lifecycle_stats();
+  // The typed views read the counters (or histogram sums) they describe.
+  snap.resilience.failovers = c_failovers_->value();
+  snap.resilience.statements_replayed = c_statements_replayed_->value();
+  snap.resilience.aborted_in_txn = c_aborted_in_txn_->value();
+  snap.resilience.journal_overflows = c_journal_overflows_->value();
+  snap.resilience.wire_requests = c_wire_requests_->value();
+  snap.resilience.wire_conversion_micros = h_wire_convert_->snapshot().sum;
+  snap.lifecycle.cancelled = c_cancelled_->value();
+  snap.lifecycle.deadline_expired = c_deadline_expired_->value();
+  snap.lifecycle.client_gone = c_client_gone_->value();
+  snap.lifecycle.killed = c_killed_->value();
+  snap.lifecycle.spill_bytes = c_spill_bytes_->value();
+  if (options_.governor != nullptr) {
+    snap.lifecycle.shed_queries = options_.governor->stats().shed_queries;
+  }
   snap.translation_cache = translation_cache_.stats();
-  snap.translation_activity = translation_activity();
+  snap.translation_activity.submit_statements = c_submit_statements_->value();
+  snap.translation_activity.translate_statements =
+      c_translate_statements_->value();
+  snap.translation_activity.cache_hits = c_translate_cache_hits_->value();
+  snap.translation_activity.translate_micros = h_translate_->snapshot().sum;
   snap.open_sessions = open_sessions();
   return snap;
 }
@@ -542,8 +515,7 @@ Result<std::string> HyperQService::TranslatePipelineSql(
     HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(*stmt));
   }
   FeatureSet fs = binder.features();
-  binder::ColIdGenerator ids;
-  for (int i = 0; i < 1000000; ++i) ids.Next();
+  binder::ColIdGenerator ids(binder::kRuleColIdBase);
   HQ_RETURN_IF_ERROR(
       transformer_.Run(transform::Stage::kBinding, &plan, &ids, &fs,
                        &catalog_));
@@ -748,12 +720,16 @@ bool HyperQService::StatementIsNonIdempotent(const sql::Statement& stmt) {
 
 Result<int> HyperQService::ReplaySessionJournal(Session* session) {
   if (session->journal_overflow) {
+    // Reported once: later statements run on the new backend session
+    // without the state the journal could not keep.
+    session->backend_epoch = session->connector->connection_epoch();
     c_journal_overflows_->Inc();
     return Status::Unavailable(
         "backend session lost and the session journal overflowed (limit ",
         options_.failover.max_journal_entries,
         " entries); session state cannot be replayed");
   }
+  const int64_t epoch = session->connector->connection_epoch();
   int replayed = 0;
   for (const auto& entry : session->journal) {
     if (entry.kind == JournalEntry::Kind::kSetSession) {
@@ -782,63 +758,23 @@ Result<int> HyperQService::ReplaySessionJournal(Session* session) {
     }
     ++replayed;
   }
-  session->backend_epoch = session->connector->connection_epoch();
+  if (session->connector->connection_epoch() != epoch) {
+    // A loss swallowed mid-replay (the best-effort DROP) took the entries
+    // before it along: the replay must start over.
+    return Status::SessionLost("backend session lost during journal replay");
+  }
+  session->backend_epoch = epoch;
   c_failovers_->Inc();
   c_statements_replayed_->Inc(replayed);
   return replayed;
 }
 
-Result<QueryOutcome> HyperQService::SubmitWithFailover(
-    Session* session, const std::string& sql_a, QueryContext* ctx) {
-  if (pool_ != nullptr) return SubmitWithFleetFailover(session, sql_a, ctx);
-  auto outcome = SubmitInternal(session, sql_a, 0, ctx);
-  if (outcome.ok() || !outcome.status().IsSessionLost()) return outcome;
-  if (!options_.failover.enabled) {
-    return Status::Unavailable("backend session lost (failover disabled): ",
-                               outcome.status().message());
-  }
-  // A cancelled/expired request gets no transparent failover retry; the
-  // session is still repaired so the next statement finds it healthy.
-  if (ctx != nullptr) {
-    Status alive = ctx->CheckAlive();
-    if (!alive.ok()) {
-      (void)ReplaySessionJournal(session);
-      return alive;
-    }
-  }
-
-  // Idempotency fence: a statement with side effects that died inside an
-  // open transaction cannot be transparently re-run — the transaction is
-  // gone with the session, and re-executing DML could double-apply it.
-  // The session itself is still repaired for subsequent statements.
-  bool non_idempotent = false;
-  auto parsed = sql::ParseStatement(sql_a, frontend_dialect_);
-  if (parsed.ok()) non_idempotent = StatementIsNonIdempotent(**parsed);
-  if (session->txn_depth > 0 && non_idempotent) {
-    (void)ReplaySessionJournal(session);  // best-effort session repair
-    session->txn_depth = 0;  // the backend transaction died with the session
-    c_aborted_in_txn_->Inc();
-    return Status::Aborted(
-        "backend session lost while a non-idempotent statement was in "
-        "flight inside an open transaction; transaction rolled back — "
-        "resubmit the transaction (", outcome.status().message(), ")");
-  }
-
-  HQ_ASSIGN_OR_RETURN(int replayed, ReplaySessionJournal(session));
-  auto retried = SubmitInternal(session, sql_a, 0, ctx);
-  if (retried.ok()) {
-    retried->timing.failovers += 1;
-    retried->timing.journal_replays += replayed;
-  }
-  return retried;
-}
-
 // ---------------------------------------------------------------------------
-// Fleet routing & cross-replica failover (DESIGN.md §10)
+// Routing & failover (DESIGN.md §6, §10)
 // ---------------------------------------------------------------------------
 
 namespace {
-// Failures worth trying elsewhere: the session/replica died (kSessionLost),
+// Failures worth another attempt: the session/replica died (kSessionLost),
 // or nothing was even attempted because the instance is down — the breaker
 // rejected the call or the pool knows the backend is killed. A plain
 // kUnavailable (one flaked call, already retried in place) and every
@@ -859,7 +795,6 @@ bool HyperQService::JournalRequiresProfile(const Session* session) {
 }
 
 void HyperQService::RecordRoute(const backend::RouteDecision& route) {
-  if (pool_ == nullptr || route.backend < 0) return;
   metrics_
       ->counter(obs::LabeledName(
           names::kBackendRoute,
@@ -868,9 +803,8 @@ void HyperQService::RecordRoute(const backend::RouteDecision& route) {
       ->Inc();
 }
 
-Status HyperQService::RebindSession(Session* session, int target) {
-  if (session->backend_index == target) return Status::OK();
-  if (session->connector != nullptr && session->backend_index >= 0) {
+void HyperQService::RebindSession(Session* session, int target) {
+  if (session->connector != nullptr) {
     session->parked_connectors[session->backend_index] =
         std::move(session->connector);
   }
@@ -883,22 +817,22 @@ Status HyperQService::RebindSession(Session* session, int target) {
     session->connector = pool_->CreateConnector(target, session->id);
   }
   session->backend_index = target;
-  session->backend_epoch = session->connector->connection_epoch();
-  return Status::OK();
+  // No connector epoch is 0: the journal is replayed before the next
+  // statement runs here.
+  session->backend_epoch = 0;
 }
 
-Result<QueryOutcome> HyperQService::SubmitWithFleetFailover(
+Result<QueryOutcome> HyperQService::SubmitWithFailover(
     Session* session, const std::string& sql_a, QueryContext* ctx) {
   const int max_attempts = std::max(1, options_.fleet.max_failover_attempts);
-  std::vector<int> failed;   // backends that failed this query
-  bool needs_replay = false;  // same-replica session loss pending repair
+  std::vector<int> failed;  // backends that failed this query
   int failovers = 0;
   int total_replayed = 0;
   Status last_error;
 
-  // The open-transaction fence (same semantics as single-backend mode):
-  // the backend transaction died with the session/replica, and a statement
-  // with side effects must not be transparently re-run.
+  // The open-transaction fence: the backend transaction died with the
+  // session, and a statement with side effects must not run outside it —
+  // re-executing DML that was in flight could double-apply it.
   auto txn_fence = [&](const Status& cause) -> Status {
     if (session->txn_depth <= 0) return Status::OK();
     bool non_idempotent = false;
@@ -908,17 +842,24 @@ Result<QueryOutcome> HyperQService::SubmitWithFleetFailover(
     if (!non_idempotent) return Status::OK();
     c_aborted_in_txn_->Inc();
     return Status::Aborted(
-        "backend lost while a non-idempotent statement was in flight "
-        "inside an open transaction; transaction rolled back — resubmit "
-        "the transaction (",
-        cause.message(), ")");
+        "backend session lost inside an open transaction; transaction "
+        "rolled back and the non-idempotent statement not re-run — "
+        "resubmit the transaction",
+        cause.ok() ? "" : " (" + cause.message() + ")");
   };
 
-  // Every re-placement after the first attempt is a retry from the
-  // backend's point of view and must win a token from the global retry
-  // budget (DESIGN.md §11); the typed denial is deliberately not
-  // failover-eligible, which is what stops the amplification chain.
-  auto budget_gate = [&](const Status& cause) -> Status {
+  // Records a failover-eligible failure on `backend`. A plain session loss
+  // says nothing about the instance, so the next attempt may stay on it
+  // (after replay); anything else excludes it for this query. Every
+  // further attempt is a retry from the backend's point of view and must
+  // win a token from the global retry budget (DESIGN.md §11); the typed
+  // denial is deliberately not failover-eligible, which is what stops the
+  // amplification chain.
+  auto note_failure = [&](const Status& cause, int backend) -> Status {
+    last_error = cause;
+    if (!cause.IsSessionLost() || cause.detail() != StatusDetail::kNone) {
+      failed.push_back(backend);
+    }
     if (retry_budget_->TryWithdraw()) return Status::OK();
     return cause.WithDetail(StatusDetail::kRetryBudgetExhausted);
   };
@@ -928,7 +869,7 @@ Result<QueryOutcome> HyperQService::SubmitWithFleetFailover(
     constraints.emitted = &options_.profile;
     constraints.sticky = session->backend_index;
     constraints.exclude = failed;
-    if (JournalRequiresProfile(session) && session->backend_index >= 0) {
+    if (JournalRequiresProfile(session)) {
       // Journaled SET SESSION state is only valid under the profile it was
       // created with: restrict failover to digest-identical replicas and
       // let the router surface kFailoverIncompatible when none exists.
@@ -948,52 +889,43 @@ Result<QueryOutcome> HyperQService::SubmitWithFleetFailover(
       return s;
     }
     RecordRoute(*route);
-    if (route->backend != session->backend_index) {
+    const int target = route->backend;
+    if (target != session->backend_index) {
       // Cross-replica move: proactive (the bound backend is ejected or
-      // killed) or reactive (it just failed this query). Fence the open
-      // transaction, rebind, and replay the session journal there.
+      // killed) or reactive (it just failed this query).
+      RebindSession(session, target);
+      c_failover_cross_replica_->Inc();
+    }
+    if (session->backend_epoch != session->connector->connection_epoch()) {
+      // Session repair: the connector runs on a backend session that has
+      // not seen the journal — a new replica, or a new session after a
+      // loss (this query's, or one an earlier request left behind).
       HQ_RETURN_IF_ERROR(txn_fence(last_error));
-      HQ_RETURN_IF_ERROR(RebindSession(session, route->backend));
       auto replayed = ReplaySessionJournal(session);
       if (!replayed.ok()) {
-        if (FailoverEligible(replayed.status())) {
-          last_error = replayed.status();
-          failed.push_back(route->backend);
-          HQ_RETURN_IF_ERROR(budget_gate(last_error));
-          continue;
-        }
-        return replayed.status();
+        if (!FailoverEligible(replayed.status())) return replayed.status();
+        HQ_RETURN_IF_ERROR(note_failure(replayed.status(), target));
+        continue;
       }
-      needs_replay = false;
       total_replayed += *replayed;
-      ++failovers;
-      c_failover_cross_replica_->Inc();
-    } else if (needs_replay) {
-      // Same-replica session loss (transient, not a dead instance): repair
-      // in place, exactly like single-backend failover.
-      HQ_ASSIGN_OR_RETURN(int replayed, ReplaySessionJournal(session));
-      needs_replay = false;
-      total_replayed += replayed;
       ++failovers;
     }
 
-    Status acquired = pool_->Acquire(route->backend);
+    Status acquired = pool_->Acquire(target);
     if (!acquired.ok()) {
-      last_error = acquired;
-      failed.push_back(route->backend);
-      if (FailoverEligible(acquired) || acquired.IsResourceExhausted()) {
-        HQ_RETURN_IF_ERROR(budget_gate(last_error));
-        continue;  // in-flight cap or just-killed: try another replica
+      if (!FailoverEligible(acquired) && !acquired.IsResourceExhausted()) {
+        return acquired;
       }
-      return acquired;
+      // In-flight cap or just-killed: try another replica.
+      HQ_RETURN_IF_ERROR(note_failure(acquired, target));
+      continue;
     }
     auto outcome = SubmitInternal(session, sql_a, 0, ctx);
     // When a hedge replica produced the result, the primary's slot is the
     // losing leg: release it without feeding the scorer or the limiter
     // (the hedge path already released the winner with real timing).
     bool hedge_won = outcome.ok() && outcome->result.hedge_won;
-    pool_->Release(route->backend,
-                   outcome.ok() ? Status::OK() : outcome.status(),
+    pool_->Release(target, outcome.ok() ? Status::OK() : outcome.status(),
                    outcome.ok() && !hedge_won
                        ? outcome->timing.execution_micros
                        : -1,
@@ -1005,26 +937,19 @@ Result<QueryOutcome> HyperQService::SubmitWithFleetFailover(
       return outcome;
     }
     Status s = outcome.status();
-    // A cancelled/expired request gets no more attempts anywhere.
+    // A cancelled/expired request gets no more attempts anywhere; a lost
+    // session is repaired before the session's next statement.
     if (ctx != nullptr) {
       Status alive = ctx->CheckAlive();
       if (!alive.ok()) return alive;
     }
     if (!FailoverEligible(s)) return s;
     if (!options_.failover.enabled) {
-      return Status::Unavailable("backend lost (failover disabled): ",
+      return Status::Unavailable("backend session lost (failover disabled): ",
                                  s.message());
     }
     HQ_RETURN_IF_ERROR(txn_fence(s));
-    last_error = s;
-    if (s.IsSessionLost() && s.detail() == StatusDetail::kNone) {
-      // The session flaked but the instance may be fine: allow a sticky
-      // retry after journal replay instead of burning a replica.
-      needs_replay = true;
-    } else {
-      failed.push_back(route->backend);
-    }
-    HQ_RETURN_IF_ERROR(budget_gate(last_error));
+    HQ_RETURN_IF_ERROR(note_failure(s, target));
   }
   return last_error;
 }
@@ -1036,10 +961,7 @@ Result<QueryOutcome> HyperQService::SubmitWithFleetFailover(
 bool HyperQService::HedgeEligible(const Session* session) const {
   if (!options_.tail.hedge.enabled) return false;
   // A hedge needs a second replica to race.
-  if (pool_ == nullptr || router_ == nullptr || pool_->size() < 2) {
-    return false;
-  }
-  if (session->backend_index < 0) return false;
+  if (pool_->size() < 2) return false;
   // Side-effect fence: a statement inside an open transaction, or against
   // session-scoped (volatile) backend state, must run exactly once on
   // exactly the bound backend. SET SESSION journal entries are mid-tier
@@ -1248,7 +1170,8 @@ Result<BackendResult> HyperQService::HedgedExecute(Session* session,
     constraints.profile_digest = pool_->profile_digest(primary_backend);
   }
   auto route = router_->Pick(constraints);
-  if (!route.ok()) {
+  // An ejected last-resort replica is no place for speculative work.
+  if (!route.ok() || route->reason == "fallback") {
     c_hedge_denied_no_replica_->Inc();
     return wait_out_primary();
   }
@@ -1795,8 +1718,7 @@ Result<QueryOutcome> HyperQService::RunPipeline(Session* session,
   }
   features.Merge(binder.features());
 
-  binder::ColIdGenerator ids;
-  for (int i = 0; i < 1000000; ++i) ids.Next();  // fresh id space for rules
+  binder::ColIdGenerator ids(binder::kRuleColIdBase);
   obs::SpanScope transform_span(ctx, "transform");
   HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, &plan,
                                       &ids, &features, &catalog_));
@@ -1996,8 +1918,7 @@ Result<QueryOutcome> HyperQService::HandleCreateTable(
     }
     out.backend_sql.push_back(ddl);
     if (ct.with_data) {
-      binder::ColIdGenerator ids;
-      for (int i = 0; i < 1000000; ++i) ids.Next();
+      binder::ColIdGenerator ids(binder::kRuleColIdBase);
       HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, &plan,
                                           &ids, &features, &catalog_));
       HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization,
@@ -2300,7 +2221,7 @@ Status HyperQService::SwitchBackendDialect(const std::string& dialect_name) {
                                    "'");
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (pool_ != nullptr) {
+  if (pool_->size() > 1) {
     return Status::InvalidArgument(
         "cannot switch dialect in fleet mode: registered replicas were "
         "validated against the configured profile");
@@ -2311,7 +2232,10 @@ Status HyperQService::SwitchBackendDialect(const std::string& dialect_name) {
   }
   // Adopt the generator's capability matrix wholesale: the dialect decides
   // which serialization-stage rewrites fire, not just the surface syntax.
+  // The pool's one backend is re-profiled with it, so the router keeps
+  // accepting what the service now emits.
   options_.profile = gen->Profile();
+  pool_->Reprofile(0, options_.profile);
   transformer_ = transform::Transformer(options_.profile);
   serializer_ = serializer::Serializer(options_.profile);
   // Re-keying the cache is automatic: the profile digest embeds the
@@ -2395,8 +2319,7 @@ Result<std::vector<std::string>> HyperQService::TranslateInternal(
         HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(*stmt));
       }
       fs->Merge(binder.features());
-      binder::ColIdGenerator ids;
-      for (int i = 0; i < 1000000; ++i) ids.Next();
+      binder::ColIdGenerator ids(binder::kRuleColIdBase);
       HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding, &plan,
                                           &ids, fs, &catalog_));
       if (plan->kind == xtra::OpKind::kRecursiveCte) {
@@ -2422,8 +2345,7 @@ Result<std::vector<std::string>> HyperQService::TranslateInternal(
           HQ_ASSIGN_OR_RETURN(plan, binder.BindStatement(*part));
         }
         fs->Merge(binder.features());
-        binder::ColIdGenerator ids;
-        for (int i = 0; i < 1000000; ++i) ids.Next();
+        binder::ColIdGenerator ids(binder::kRuleColIdBase);
         HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kBinding,
                                             &plan, &ids, fs, &catalog_));
         HQ_RETURN_IF_ERROR(transformer_.Run(transform::Stage::kSerialization,
@@ -2477,9 +2399,7 @@ Result<protocol::LogonResponse> HyperQService::Logon(
   resp.session_id = id;
   resp.message = "session established";
   int backend = session_backend(id);
-  if (pool_ != nullptr && backend >= 0) {
-    resp.message += " on " + pool_->spec(backend).name;
-  }
+  if (backend >= 0) resp.message += " on " + pool_->spec(backend).name;
   return resp;
 }
 

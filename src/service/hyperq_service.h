@@ -109,17 +109,19 @@ struct QueryRequest {
 /// \brief Backend-session failover knobs (DESIGN.md §6, "Failover &
 /// overload").
 struct FailoverOptions {
-  /// When the backend session dies (kSessionLost), replay the session
-  /// journal and transparently re-run the interrupted statement.
+  /// When the backend session dies (kSessionLost), transparently re-run the
+  /// interrupted statement after the journal replay. Off = the statement
+  /// fails kUnavailable; the session is still repaired before its next one.
   bool enabled = true;
   /// Journal entries kept per session. Past the cap the journal is marked
   /// overflowed and failover degrades to a clean kUnavailable error.
   size_t max_journal_entries = 256;
 };
 
-/// \brief Multi-backend fleet configuration (DESIGN.md §10). With one or
-/// more backends registered the service routes sessions and queries over a
-/// BackendPool; empty = the classic single-connector-per-session mode.
+/// \brief Multi-backend fleet configuration (DESIGN.md §10). The service
+/// always routes sessions and queries over a BackendPool; with no backends
+/// registered it is a pool of one backend named after the profile (the
+/// service's own engine and ServiceOptions::profile).
 struct FleetOptions {
   /// Registered backend instances; spec.engine == nullptr means "a compute
   /// replica over the service's shared engine".
@@ -135,9 +137,8 @@ struct FleetOptions {
 
 /// \brief Hedged-execution knobs (DESIGN.md §11). Hedging launches a second
 /// attempt of a slow idempotent read on a different replica and takes the
-/// first completion; the loser is cancelled promptly. Off by default: a
-/// single-backend deployment behaves byte-identically with the layer
-/// disabled.
+/// first completion; the loser is cancelled promptly. Off by default, and
+/// never fires in a pool of one (there is no second replica to race).
 struct HedgeOptions {
   bool enabled = false;
   /// The latency percentile of recent backend executions at which a hedge
@@ -251,10 +252,8 @@ struct ServiceLifecycleStats {
 
 /// \brief The unified stats surface (DESIGN.md §9): one point-in-time
 /// MetricsRegistry snapshot — the single sink every service, cache,
-/// connector, and governor counter now feeds — plus the legacy typed views
-/// derived from it. The per-surface accessors (resilience_stats(),
-/// lifecycle_stats(), translation_activity(), translation_cache_stats())
-/// are deprecated shims over this snapshot, kept for one release.
+/// connector, and governor counter now feeds — plus the typed views
+/// derived from it.
 struct ServiceStatsSnapshot {
   observability::MetricsSnapshot metrics;
   WorkloadFeatureStats features;
@@ -315,9 +314,10 @@ class HyperQService : public protocol::RequestHandler {
 
   /// \brief Re-targets this service to another registered SQL-B dialect:
   /// adopts the dialect's capability matrix, rebuilds the transformer and
-  /// serializer, and re-keys the translation cache via the profile digest
-  /// (entries of the old dialect become unreachable; no flush needed).
-  /// Fails in fleet mode and while queries are in flight.
+  /// serializer, re-profiles the pool's one backend, and re-keys the
+  /// translation cache via the profile digest (entries of the old dialect
+  /// become unreachable; no flush needed). Fails for a pool of more than
+  /// one backend and while queries are in flight.
   Status SwitchBackendDialect(const std::string& dialect_name);
 
   Catalog* catalog() { return &catalog_; }
@@ -325,8 +325,9 @@ class HyperQService : public protocol::RequestHandler {
     return options_.profile;
   }
 
-  /// \brief The fleet pool/router (null in single-backend mode). Exposed
-  /// for chaos tests and the availability bench (KillBackend/ProbeNow).
+  /// \brief The backend pool/router; never null (a service with no fleet
+  /// config is a pool of one). Exposed for chaos tests and the
+  /// availability bench (KillBackend/ProbeNow).
   backend::BackendPool* backend_pool() { return pool_.get(); }
   backend::Router* router() { return router_.get(); }
   /// \brief The tail-tolerance controllers (DESIGN.md §11). Always
@@ -336,13 +337,12 @@ class HyperQService : public protocol::RequestHandler {
   /// path sheds from.
   RetryBudget* retry_budget() { return retry_budget_.get(); }
   BrownoutController* brownout() { return brownout_.get(); }
-  /// \brief Backend index a session is currently bound to (-1 when unknown
-  /// or in single-backend mode).
+  /// \brief Pool index of the backend a session is currently bound to (0
+  /// in a pool of one; -1 for an unknown session).
   int session_backend(uint32_t session_id) const;
 
   // --- Stats/admin surface (DESIGN.md §9) --------------------------------
   /// \brief The whole registry plus typed views, in one consistent pull.
-  /// This is the one stats API; everything below it is a shim.
   ServiceStatsSnapshot StatsSnapshot() const;
 
   /// \brief The registry backing every counter of this service (the
@@ -358,22 +358,8 @@ class HyperQService : public protocol::RequestHandler {
   WorkloadFeatureStats stats() const;
   void ResetStats();
 
-  /// \deprecated Use StatsSnapshot().resilience.
-  ServiceResilienceStats resilience_stats() const;
-
-  /// \deprecated Use StatsSnapshot().lifecycle.
-  ServiceLifecycleStats lifecycle_stats() const;
-
   /// \brief Sessions currently open (observability/leak checks in tests).
   size_t open_sessions() const;
-
-  /// \deprecated Use StatsSnapshot().translation_cache.
-  TranslationCacheStats translation_cache_stats() const {
-    return translation_cache_.stats();
-  }
-
-  /// \deprecated Use StatsSnapshot().translation_activity.
-  TranslationActivityStats translation_activity() const;
 
   /// \brief Replayable journal entries currently held for a session
   /// (observability/tests); 0 for unknown sessions.
@@ -413,13 +399,13 @@ class HyperQService : public protocol::RequestHandler {
   struct Session {
     uint32_t id;
     SessionInfo info;
-    /// The active backend connection. In fleet mode this is the connector
-    /// of the bound backend (`backend_index`); rebinding parks it and
-    /// swaps another in, so the whole pipeline keeps one access path.
+    /// The active backend connection: the connector of the bound backend
+    /// (`backend_index`); rebinding parks it and swaps another in, so the
+    /// whole pipeline keeps one access path.
     std::unique_ptr<backend::BackendConnector> connector;
-    /// Fleet binding: pool index of the active connector (-1 = single-
-    /// backend mode) and connectors of previously bound backends, kept so
-    /// a fail-back reuses the established connection.
+    /// Pool index of the active connector, and connectors of previously
+    /// bound backends, kept so a fail-back reuses the established
+    /// connection.
     int backend_index = -1;
     std::map<int, std::unique_ptr<backend::BackendConnector>>
         parked_connectors;
@@ -427,7 +413,9 @@ class HyperQService : public protocol::RequestHandler {
     int txn_depth = 0;
     std::vector<JournalEntry> journal;
     bool journal_overflow = false;
-    int64_t backend_epoch = 1;  // last connector epoch we replayed up to
+    /// Connector epoch the journal was last replayed onto (0 = none yet);
+    /// a mismatch before an attempt triggers the replay.
+    int64_t backend_epoch = 1;
     /// Digest of the translation-relevant session settings; part of the
     /// translation cache key. SET SESSION recomputes it, which atomically
     /// invalidates every cached plan built under the old settings while
@@ -468,20 +456,19 @@ class HyperQService : public protocol::RequestHandler {
                                   const QueryContext* ctx);
 
   // --- Failover (session journal & replay) -----------------------------
+  /// The one placement + failover loop (DESIGN.md §6, §10): route
+  /// (sticky-preferred) -> repair the session if its connector epoch moved
+  /// past the journal -> acquire slot -> run -> score. On a
+  /// failover-eligible failure it fences open transactions, excludes the
+  /// replica unless the loss was a plain session loss, and retries —
+  /// bounded by max_failover_attempts and the QueryContext deadline.
   Result<QueryOutcome> SubmitWithFailover(Session* session,
                                           const std::string& sql_a,
                                           QueryContext* ctx);
-  /// Fleet-mode placement + cross-replica failover loop (DESIGN.md §10):
-  /// route (sticky-preferred) -> acquire slot -> run -> score; on a
-  /// failover-eligible failure, exclude the replica, re-route, rebind the
-  /// session (journal replay onto the new connector), and retry — bounded
-  /// by max_failover_attempts and the QueryContext deadline.
-  Result<QueryOutcome> SubmitWithFleetFailover(Session* session,
-                                               const std::string& sql_a,
-                                               QueryContext* ctx);
   /// Moves the session's active connector to pool backend `target`
-  /// (parking the old one; reusing a parked connector when falling back).
-  Status RebindSession(Session* session, int target);
+  /// (parking the old one; reusing a parked connector when falling back)
+  /// and marks the journal as not yet replayed there.
+  void RebindSession(Session* session, int target);
   /// True when the journal carries SET SESSION state, which is only valid
   /// under the profile it was created with (the kFailoverIncompatible
   /// pre-check for cross-replica replay).
@@ -609,14 +596,14 @@ class HyperQService : public protocol::RequestHandler {
   sql::Dialect frontend_dialect_;
 
   // Tail tolerance (DESIGN.md §11). Declared before pool_ and sessions_:
-  // connector options of both the pool and single-backend sessions point at
-  // the retry budget, so it must outlive them during destruction.
+  // every session connector the pool creates points at the retry budget,
+  // so it must outlive them during destruction.
   std::unique_ptr<RetryBudget> retry_budget_;
   std::unique_ptr<BrownoutController> brownout_;
 
-  // Fleet (DESIGN.md §10). Declared before sessions_ so the pool — whose
-  // breakers and liveness hooks session connectors borrow — outlives every
-  // session during destruction.
+  // Backend pool (DESIGN.md §10). Declared before sessions_ so the pool —
+  // whose breakers and liveness hooks session connectors borrow — outlives
+  // every session during destruction.
   std::unique_ptr<backend::BackendPool> pool_;
   std::unique_ptr<backend::Router> router_;
 

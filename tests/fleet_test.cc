@@ -18,6 +18,7 @@
 #include "backend/pool.h"
 #include "backend/router.h"
 #include "common/fault.h"
+#include "common/query_context.h"
 #include "common/resource_governor.h"
 #include "common/retry.h"
 #include "observability/metric_names.h"
@@ -354,6 +355,37 @@ TEST_F(FleetTest, RouterErrorTaxonomyDistinguishesDownFromIncompatible) {
       << down.status();
 }
 
+TEST_F(FleetTest, EjectedBackendIsLastResortOnlyWhenNothingElseQualifies) {
+  vdb::Engine engine;
+  PoolOptions options;
+  options.health = TestHealth();
+  BackendPool pool(&engine, Replicas(2), options);
+  Router router(&pool);
+  for (size_t b = 0; b < 2; ++b) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(pool.Acquire(b).ok());
+      pool.Release(b, Status::SessionLost("gone"));
+    }
+    ASSERT_EQ(pool.health(b), BackendHealth::kEjected);
+  }
+  // Every backend ejected but alive: the sticky one still serves.
+  RouteConstraints constraints;
+  constraints.sticky = 1;
+  auto last_resort = router.Pick(constraints);
+  ASSERT_TRUE(last_resort.ok()) << last_resort.status();
+  EXPECT_EQ(last_resort->backend, 1);
+  EXPECT_EQ(last_resort->reason, "fallback");
+  // Killed backends never serve, and exclusion still holds.
+  pool.KillBackend(1);
+  auto other = router.Pick(constraints);
+  ASSERT_TRUE(other.ok()) << other.status();
+  EXPECT_EQ(other->backend, 0);
+  constraints.exclude = {0};
+  auto down = router.Pick(constraints);
+  ASSERT_FALSE(down.ok());
+  EXPECT_EQ(down.status().detail(), StatusDetail::kBackendDown);
+}
+
 TEST_F(FleetTest, RouterPickFaultSurfacesAsRoutingFailure) {
   vdb::Engine engine;
   PoolOptions options;
@@ -460,6 +492,111 @@ TEST_F(FleetTest, OpenTxnFenceStillAbortsNonIdempotentAcrossReplicas) {
   auto rows = sel->result.DecodeRows();
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 1u);  // the aborted INSERT was NOT re-applied
+}
+
+// Loses the bound backend session once (kSessionLost, detail none): the
+// replica itself stays healthy, only the session's state is gone.
+FaultSpec LoseSessionOnce() {
+  FaultSpec spec;
+  spec.kind = FaultKind::kDisconnect;
+  spec.max_fires = 1;
+  return spec;
+}
+
+// The fence aborts DML that lost its session inside an open transaction;
+// the session must still be repaired before its next statement, exactly as
+// a pool of one does it.
+TEST_F(FleetTest, SessionLossInOpenTxnAbortsThenRepairsSession) {
+  vdb::Engine engine;
+  service::HyperQService service(&engine, FleetServiceOptions(3));
+  auto sid = service.OpenSession("tester");
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(
+      service.Submit(*sid, "CREATE VOLATILE TABLE SCRATCH (A INTEGER)").ok());
+  ASSERT_TRUE(service.Submit(*sid, "INS INTO SCRATCH VALUES (1)").ok());
+  ASSERT_TRUE(service.Submit(*sid, "BT").ok());
+
+  FaultInjector::Global().Arm(faultpoints::kBackendSessionLost,
+                              LoseSessionOnce());
+  auto aborted = service.Submit(*sid, "INS INTO SCRATCH VALUES (2)");
+  ASSERT_FALSE(aborted.ok());
+  EXPECT_TRUE(aborted.status().IsAborted()) << aborted.status();
+  EXPECT_EQ(service.StatsSnapshot().resilience.aborted_in_txn, 1);
+
+  auto sel = service.Submit(*sid, "SEL * FROM SCRATCH");
+  ASSERT_TRUE(sel.ok()) << sel.status();
+  auto rows = sel->result.DecodeRows();
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 1u);  // the aborted INSERT was NOT re-applied
+  EXPECT_EQ(sel->timing.failovers, 1);
+  EXPECT_TRUE(service.Submit(*sid, "INS INTO SCRATCH VALUES (3)").ok());
+}
+
+// A request cancelled while its session is lost gets no transparent retry,
+// but it must not leave the session broken for the next statement.
+TEST_F(FleetTest, RequestCancelledDuringSessionLossLeavesSessionUsable) {
+  vdb::Engine engine;
+  service::HyperQService service(&engine, FleetServiceOptions(3));
+  auto sid = service.OpenSession("tester");
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(
+      service.Submit(*sid, "CREATE VOLATILE TABLE SCRATCH (A INTEGER)").ok());
+  ASSERT_TRUE(service.Submit(*sid, "INS INTO SCRATCH VALUES (1)").ok());
+
+  FaultInjector::Global().Arm(faultpoints::kBackendSessionLost,
+                              LoseSessionOnce());
+  // The client aborts once the loss has happened, before any retry.
+  QueryContext ctx;
+  ctx.SetClientProbe([](CancelCause* cause) -> Status {
+    if (FaultInjector::Global().fires(faultpoints::kBackendSessionLost) == 0) {
+      return Status::OK();
+    }
+    *cause = CancelCause::kClientAbort;
+    return Status::Cancelled("client aborted");
+  });
+  auto cancelled = service.Submit(*sid, "SEL * FROM SCRATCH", &ctx);
+  ASSERT_FALSE(cancelled.ok());
+  EXPECT_TRUE(cancelled.status().IsCancelled()) << cancelled.status();
+  EXPECT_EQ(FaultInjector::Global().fires(faultpoints::kBackendSessionLost),
+            1);
+
+  auto sel = service.Submit(*sid, "SEL * FROM SCRATCH");
+  ASSERT_TRUE(sel.ok()) << sel.status();
+  auto rows = sel->result.DecodeRows();
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 1u);
+}
+
+// A service with no fleet config is a pool of one backend named after its
+// profile; liveness noise may eject that backend, but only a hard kill
+// takes it out of routing.
+TEST_F(FleetTest, NoFleetConfigIsPoolOfOneThatEjectionNeverRefuses) {
+  vdb::Engine engine;
+  service::ServiceOptions options;
+  options.fleet.health = TestHealth();
+  service::HyperQService service(&engine, options);
+  BackendPool* pool = service.backend_pool();
+  ASSERT_NE(pool, nullptr);
+  ASSERT_EQ(pool->size(), 1u);
+  EXPECT_EQ(pool->spec(0).name, service.profile().name);
+  auto sid = service.OpenSession("tester");
+  ASSERT_TRUE(sid.ok());
+  EXPECT_EQ(service.session_backend(*sid), 0);
+
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(pool->Acquire(0).ok());
+    pool->Release(0, Status::SessionLost("noise"));
+  }
+  ASSERT_EQ(pool->health(0), BackendHealth::kEjected);
+  auto out = service.Submit(*sid, "SEL 1");
+  ASSERT_TRUE(out.ok()) << out.status();
+  auto late = service.OpenSession("late");
+  ASSERT_TRUE(late.ok()) << late.status();
+
+  pool->KillBackend(0);
+  auto refused = service.Submit(*sid, "SEL 1");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsUnavailable()) << refused.status();
 }
 
 // Satellite: when journaled SET SESSION state can only be honored by a

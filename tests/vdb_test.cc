@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "vdb/engine.h"
 
 namespace hyperq::vdb {
@@ -341,6 +345,14 @@ struct OrderCase {
   const char* order;
   const char* first;  // expected first value rendered
 };
+
+// Prints the ORDER BY suffix as one token ("DESC_NULLS_FIRST", "default")
+// so the discovered ctest names do not carry the literals' addresses.
+void PrintTo(const OrderCase& c, std::ostream* os) {
+  std::string token = *c.order ? c.order : "default";
+  std::replace(token.begin(), token.end(), ' ', '_');
+  *os << token;
+}
 
 class VdbOrderSweep : public VdbTest,
                       public ::testing::WithParamInterface<OrderCase> {};
