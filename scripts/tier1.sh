@@ -6,8 +6,8 @@
 #   scripts/tier1.sh --asan     # also build build-asan/ and run the
 #                               # `faults`, `failover`, `cache`, `golden`,
 #                               # `lifecycle`, `observability`, `fleet`,
-#                               # `tail`, `fuzz`, `chaos`, and `batch`
-#                               # suites under ASan+UBSan
+#                               # `tail`, `fuzz`, `chaos`, `batch`, and
+#                               # `vdb` suites under ASan+UBSan
 #   scripts/tier1.sh --tsan     # also build build-tsan/ and run the
 #                               # cross-thread suites (`lifecycle`,
 #                               # `faults`, `observability`, `fleet`,
@@ -50,6 +50,10 @@ if [[ "${1:-}" == "--asan" ]]; then
   # hide. The edge suite (zero-row spans, spill straddles, mid-batch
   # cancellation) must be ASan-clean.
   ctest --test-dir build-asan --output-on-failure -L batch -j "$jobs"
+  # Shared chunks and table-snapshot row indices cross every correlated
+  # subplan in the vdb executor; the engine suite and the pinned TPC-H
+  # answers must be ASan-clean.
+  ctest --test-dir build-asan --output-on-failure -L vdb -j "$jobs"
 fi
 
 if [[ "${1:-}" == "--tsan" ]]; then

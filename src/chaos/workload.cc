@@ -43,15 +43,20 @@ struct SessionState {
   bool connected = false;
 };
 
-bool Reconnect(SessionState* s, const WorkloadOptions& options) {
+// Every read a session makes carries a deadline of the whole run's length:
+// no reply legitimately takes that long, so a read still waiting is waiting
+// for a reply that will never come — a silent peer, or a request frame that
+// corruption turned into a stray abort, which the server drops unanswered.
+Status Reconnect(SessionState* s, const WorkloadOptions& options) {
   s->client.HardClose();
   s->connected = false;
   TdwpClient fresh;
-  if (!fresh.Connect(options.port).ok()) return false;
-  if (!fresh.Logon(options.user, options.password).ok()) return false;
+  HQ_RETURN_IF_ERROR(fresh.Connect(options.port));
+  HQ_RETURN_IF_ERROR(fresh.SetReadTimeoutMs(options.duration_ms));
+  HQ_RETURN_IF_ERROR(fresh.Logon(options.user, options.password));
   s->client = std::move(fresh);
   s->connected = true;
-  return true;
+  return Status::OK();
 }
 
 void SessionLoop(int session_index, const WorkloadOptions& options,
@@ -69,10 +74,17 @@ void SessionLoop(int session_index, const WorkloadOptions& options,
     bool delivered = false;
     for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
       ledger->NoteAttempt(id);
-      if (!s.connected && !Reconnect(&s, options)) {
-        ledger->NoteIoFailure(id);
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        continue;
+      if (!s.connected) {
+        Status st = Reconnect(&s, options);
+        if (!st.ok()) {
+          if (st.code() == StatusCode::kDeadlineExceeded) {
+            ledger->NoteTypedError(id, static_cast<int>(st.code()));
+          } else {
+            ledger->NoteIoFailure(id);
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          continue;
+        }
       }
       auto result = s.client.Run(sql);
       if (result.ok()) {

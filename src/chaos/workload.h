@@ -23,6 +23,8 @@ namespace hyperq::chaos {
 struct WorkloadOptions {
   uint16_t port = 0;
   int sessions = 8;
+  /// Run length; also each session's read deadline, so a reply that never
+  /// comes costs one attempt instead of a hung session.
   int duration_ms = 3000;
   /// Per-query retry budget: a query fails terminally only after this
   /// many attempts (reconnecting between attempts when the link died).

@@ -84,6 +84,7 @@ std::string CampaignSummary::ToJson() const {
   out += ",\"translated\":" + std::to_string(translated);
   out += ",\"executed\":" + std::to_string(executed);
   out += ",\"rejected\":" + std::to_string(rejected);
+  out += ",\"tlp_checked\":" + std::to_string(tlp_checked);
   out += ",\"mismatched\":" + std::to_string(mismatched);
   out += ",\"reduced\":" + std::to_string(reduced);
   out += ",\"unreduced\":" + std::to_string(unreduced());
@@ -136,8 +137,10 @@ CampaignSummary RunCampaign(const CampaignOptions& options) {
     if (options.count <= 0 && options.max_seconds <= 0) break;  // no bound
 
     QuerySpec spec = GenerateQuery(options.seed, i);
+    const std::string tlp_pred = GeneratePredicate(spec, options.seed, i);
     ++summary.generated;
-    DifferentialOutcome outcome = harness.Run(spec.ToSql());
+    DifferentialOutcome outcome = harness.RunTlp(spec, tlp_pred);
+    if (outcome.tlp_checked) ++summary.tlp_checked;
     if (outcome.cls == OutcomeClass::kRejected) {
       ++summary.rejected;
       continue;
@@ -164,8 +167,8 @@ CampaignSummary RunCampaign(const CampaignOptions& options) {
     report.original_clauses = spec.ClauseCount();
 
     ReductionResult reduction =
-        ReduceQuery(spec, [&harness](const QuerySpec& candidate) {
-          return harness.Run(candidate.ToSql()).IsFinding();
+        ReduceQuery(spec, [&](const QuerySpec& candidate) {
+          return harness.RunTlp(candidate, tlp_pred).IsFinding();
         });
     report.reduced = reduction.converged;
     report.reduced_sql = reduction.minimal.ToSql();

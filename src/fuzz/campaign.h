@@ -1,5 +1,6 @@
 // Fuzz campaign driver: generate → translate-to-every-dialect → execute →
-// compare → reduce, in a loop bounded by query count and/or wall clock.
+// compare (across dialects, and against the query's TLP partitions) →
+// reduce, in a loop bounded by query count and/or wall clock.
 // Every finding is minimized by the delta-debugging reducer and (in golden
 // append mode) written into the golden corpus as a permanent regression
 // anchor. Summaries serialize to JSON for scripts/fuzz_nightly.sh.
@@ -51,6 +52,7 @@ struct CampaignSummary {
   int translated = 0;  // queries every dialect translated
   int executed = 0;    // queries every dialect executed
   int rejected = 0;    // uniform frontend/engine rejections (fuzz noise)
+  int tlp_checked = 0; // queries whose TLP partitions were compared
   int mismatched = 0;  // findings (any divergence class)
   int reduced = 0;     // findings the reducer minimized
   double seconds = 0;

@@ -21,6 +21,8 @@ const char* OutcomeClassName(OutcomeClass cls) {
       return "execute_divergence";
     case OutcomeClass::kResultMismatch:
       return "result_mismatch";
+    case OutcomeClass::kTlpMismatch:
+      return "tlp_mismatch";
   }
   return "unknown";
 }
@@ -199,6 +201,59 @@ DifferentialOutcome DifferentialHarness::Run(const std::string& sql_a) {
   }
   out.cls = OutcomeClass::kOk;
   return out;
+}
+
+bool TlpApplies(const QuerySpec& spec) {
+  return spec.group_by.empty() && spec.having.empty() && spec.top < 0 &&
+         spec.setop_right == nullptr;
+}
+
+DifferentialOutcome DifferentialHarness::RunTlp(const QuerySpec& spec,
+                                                const std::string& p) {
+  DifferentialOutcome base = Run(spec.ToSql());
+  if (base.cls != OutcomeClass::kOk || !TlpApplies(spec)) return base;
+  // CASE tests p once per branch, so its ELSE is exactly "p is UNKNOWN"
+  // in every dialect, with no reliance on a boolean IS NULL.
+  const std::string partitions[] = {
+      "(" + p + ")",
+      "(NOT (" + p + "))",
+      "(CASE WHEN (" + p + ") THEN 0 WHEN (NOT (" + p +
+          ")) THEN 0 ELSE 1 END = 1)",
+  };
+  std::vector<std::vector<std::string>> merged(base.runs.size());
+  for (const std::string& part : partitions) {
+    QuerySpec q = spec.Clone();
+    q.where.push_back(part);
+    DifferentialOutcome run = Run(q.ToSql());
+    // A predicate the frontend or engine refuses uniformly says nothing
+    // about the partitioning; a divergence is a finding in its own right.
+    if (run.cls == OutcomeClass::kRejected) return base;
+    if (run.cls != OutcomeClass::kOk) {
+      run.detail = "with WHERE " + part + ": " + run.detail;
+      return run;
+    }
+    for (size_t i = 0; i < run.runs.size(); ++i) {
+      merged[i].insert(merged[i].end(), run.runs[i].rows.begin(),
+                       run.runs[i].rows.end());
+    }
+  }
+  base.tlp_checked = true;
+  for (size_t i = 0; i < base.runs.size(); ++i) {
+    std::vector<std::string>& rows = merged[i];
+    std::sort(rows.begin(), rows.end());
+    if (spec.distinct) {
+      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    }
+    if (rows != base.runs[i].rows) {
+      base.cls = OutcomeClass::kTlpMismatch;
+      base.detail = base.runs[i].dialect + " returned " +
+                    std::to_string(base.runs[i].rows.size()) +
+                    " row(s), its partitions by " + p + " " +
+                    std::to_string(rows.size()) + " row(s)";
+      return base;
+    }
+  }
+  return base;
 }
 
 }  // namespace hyperq::fuzz

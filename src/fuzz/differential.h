@@ -3,7 +3,9 @@
 // own embedded vdb instance (identical schema + data), and the result sets
 // are compared as canonical multisets. Any divergence — translation,
 // execution, or results — is a finding the reducer (fuzz/reducer.h)
-// shrinks to a minimal repro. See DESIGN.md §12.
+// shrinks to a minimal repro. All dialects share one binder and executor,
+// so a metamorphic oracle, Ternary Logic Partitioning (RunTlp), checks
+// those within each target. See DESIGN.md §12.
 
 #pragma once
 
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/query_gen.h"
 #include "service/hyperq_service.h"
 #include "vdb/engine.h"
 
@@ -25,6 +28,8 @@ enum class OutcomeClass {
   kTranslateDivergence, // some dialects translated, others refused
   kExecuteDivergence,   // some executions succeeded, others errored
   kResultMismatch,      // executions succeeded with different multisets
+  kTlpMismatch,         // a target's WHERE p / NOT p / p IS UNKNOWN
+                        // partitions do not add up to the query's rows
 };
 
 const char* OutcomeClassName(OutcomeClass cls);
@@ -43,12 +48,15 @@ struct DifferentialOutcome {
   OutcomeClass cls = OutcomeClass::kOk;
   std::string detail;  // human-readable divergence description
   std::vector<DialectRun> runs;
+  bool tlp_checked = false;  // RunTlp compared the three partitions
 
-  /// True for the three divergence classes — the fuzzer's findings.
+  /// True for the divergence classes and TLP mismatches — the fuzzer's
+  /// findings.
   bool IsFinding() const {
     return cls == OutcomeClass::kTranslateDivergence ||
            cls == OutcomeClass::kExecuteDivergence ||
-           cls == OutcomeClass::kResultMismatch;
+           cls == OutcomeClass::kResultMismatch ||
+           cls == OutcomeClass::kTlpMismatch;
   }
 };
 
@@ -83,6 +91,14 @@ class DifferentialHarness {
   /// Translates + executes `sql_a` on every dialect and classifies.
   DifferentialOutcome Run(const std::string& sql_a);
 
+  /// Runs `spec` like Run(), then applies Ternary Logic Partitioning when
+  /// TlpApplies(spec): on every target, the rows of `spec` must equal the
+  /// multiset union of `spec WHERE p`, `spec WHERE NOT p` and
+  /// `spec WHERE p IS UNKNOWN` (deduplicated when `spec` is DISTINCT). A
+  /// difference is a kTlpMismatch; a divergence among the partition runs
+  /// is reported as that run's finding.
+  DifferentialOutcome RunTlp(const QuerySpec& spec, const std::string& p);
+
   const std::vector<std::string>& dialects() const {
     return options_.dialects;
   }
@@ -98,6 +114,10 @@ class DifferentialHarness {
   HarnessOptions options_;
   std::vector<Target> targets_;
 };
+
+/// \brief True when WHERE partitions `spec`'s rows: no GROUP BY, HAVING
+/// (so no aggregate), TOP or set operation.
+bool TlpApplies(const QuerySpec& spec);
 
 /// \brief Canonical multiset rendering of a vdb result: one string per row
 /// (columns '|'-joined, doubles normalized to %.6g, NULL as "<null>"),

@@ -557,4 +557,23 @@ QuerySpec GenerateQuery(uint64_t seed, uint64_t index) {
   return spec;
 }
 
+std::string GeneratePredicate(const QuerySpec& spec, uint64_t seed,
+                              uint64_t index) {
+  Rng rng(seed ^ (index * 0x94D049BB133111EBULL + 0x2545F4914F6CDD1DULL));
+  GenCtx ctx;
+  ctx.rng = &rng;
+  // TLP negates p, and negated subquery predicates stay out of the smoke
+  // grammar (see SubqPred): a rewrite of IN/ANY into EXISTS is only valid
+  // in a positive context.
+  ctx.subq_budget = 0;
+  auto add_scope = [&ctx](const std::string& table, const std::string& alias) {
+    for (const TableModel& t : kTables) {
+      if (table == t.name) ctx.scope.push_back({alias, &t});
+    }
+  };
+  add_scope(spec.table, spec.alias);
+  for (const auto& j : spec.joins) add_scope(j.table, j.alias);
+  return Pred(&ctx);
+}
+
 }  // namespace hyperq::fuzz

@@ -93,4 +93,11 @@ std::vector<std::string> DataDml(uint64_t seed, int rows0 = 24, int rows1 = 18);
 /// (seed, index) pair always yields the same QuerySpec.
 QuerySpec GenerateQuery(uint64_t seed, uint64_t index);
 
+/// \brief A predicate over the tables `spec`'s FROM clause brings into
+/// scope, drawn from the WHERE-conjunct grammar (the partitioning
+/// predicate of the TLP oracle, fuzz/differential.h). Deterministic in
+/// (spec, seed, index).
+std::string GeneratePredicate(const QuerySpec& spec, uint64_t seed,
+                              uint64_t index);
+
 }  // namespace hyperq::fuzz

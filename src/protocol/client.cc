@@ -11,6 +11,10 @@ Status TdwpClient::Connect(uint16_t port) {
   return Status::OK();
 }
 
+Status TdwpClient::SetReadTimeoutMs(int ms) {
+  return sock_.SetRecvTimeoutMs(ms);
+}
+
 Status TdwpClient::Logon(const std::string& user, const std::string& password,
                          const std::string& default_database) {
   LogonRequest req;

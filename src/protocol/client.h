@@ -34,6 +34,10 @@ class TdwpClient {
   Status Logon(const std::string& user, const std::string& password,
                const std::string& default_database = "");
   Result<ClientResult> Run(const std::string& sql);
+  /// \brief Bounds every later wait for a server reply (Logon, Run,
+  /// Scrape): a reply that does not arrive within `ms` fails the call with
+  /// kDeadlineExceeded. 0 waits forever (the default). Call after Connect.
+  Status SetReadTimeoutMs(int ms);
   /// \brief Asks the server to cancel the in-flight request (tdwp
   /// kAbortRequest). Safe to call from another thread while Run() is
   /// blocked reading the result: the aborted Run() surfaces the server's

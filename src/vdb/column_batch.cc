@@ -532,9 +532,14 @@ std::shared_ptr<const ColumnBatch> ConcatBatches(
     dst->Reserve(total);
     for (const auto& chunk : chunks) {
       const ColumnVec& src = *chunk->columns[c];
-      if (src.kind != dst->kind) {
-        // Mixed physical kinds across chunks (rare: a demoted column in one
-        // chunk): demote the destination too.
+      if (src.kind == dst->kind) {
+        for (size_t r = 0; r < src.size; ++r) dst->AppendFrom(src, r);
+        continue;
+      }
+      // Mixed physical kinds across chunks (a demoted column in one chunk,
+      // or UNION ALL operands of different types): demote the destination
+      // and append boxed values.
+      if (dst->kind != PhysKind::kDatum) {
         auto demoted = std::make_shared<ColumnVec>(PhysKind::kDatum);
         demoted->Reserve(total);
         for (size_t r = 0; r < dst->size; ++r) {
@@ -542,7 +547,7 @@ std::shared_ptr<const ColumnBatch> ConcatBatches(
         }
         dst = std::move(demoted);
       }
-      for (size_t r = 0; r < src.size; ++r) dst->AppendFrom(src, r);
+      for (size_t r = 0; r < src.size; ++r) dst->Append(src.GetDatum(r));
     }
     out->columns.push_back(std::move(dst));
   }

@@ -97,7 +97,6 @@ Result<QueryResult> Engine::ExecuteParsed(const sql::Statement& stmt) {
         for (const auto& col : rel.cols) {
           result.columns.push_back({col.name, col.type});
         }
-        rel.EnsureColumnar();
         result.chunks = std::move(rel.chunks);
         result.command_tag = "SELECT";
         return result;

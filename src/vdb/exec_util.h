@@ -1,8 +1,10 @@
-// Internal helpers shared by the row-oriented (executor.cc) and vectorized
-// (executor_vec.cc) halves of the vdb executor. Not part of the public API.
+// Internal helpers shared by executor.cc (driver, DML, scalar interpreter,
+// subqueries) and executor_vec.cc (vector expressions, batch operators) of
+// the vdb executor. Not part of the public API.
 
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -41,6 +43,21 @@ struct DatumEq {
     return Datum::GroupEquals(a, b);
   }
 };
+
+/// \brief Flattens nested ANDs of `e` into `out`.
+void SplitConjuncts(const xtra::Expr* e, std::vector<const xtra::Expr*>* out);
+
+/// \brief True when every column reference in `e` satisfies `allowed` and
+/// `e` holds no subquery; `*any_ref` is set when it references a column.
+bool ExprRefsOnly(const xtra::Expr& e, const std::function<bool(int)>& allowed,
+                  bool* any_ref);
+
+/// \brief `s` without trailing blanks: strings compare blank-padded
+/// (Datum::Compare), so 'ab' and 'ab  ' are equal.
+inline std::string_view TrimTrailingBlanks(std::string_view s) {
+  while (!s.empty() && s.back() == ' ') s.remove_suffix(1);
+  return s;
+}
 
 /// \brief SQL LIKE matcher with optional escape character.
 bool LikeMatch(std::string_view value, std::string_view pattern,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,41 +18,16 @@ using xtra::ExprKind;
 using xtra::Op;
 using xtra::OpKind;
 
-using exec::Accumulator;
 using exec::LikeMatch;
-using exec::RowEq;
-using exec::RowHash;
 
 // ---------------------------------------------------------------------------
-// Relation row/columnar conversion shims
+// Relation
 // ---------------------------------------------------------------------------
 
 size_t Relation::RowCount() const {
-  if (!columnar) return rows.size();
   size_t n = 0;
   for (const auto& c : chunks) n += c->rows;
   return n;
-}
-
-void Relation::EnsureRows() {
-  if (!columnar) return;
-  rows.clear();
-  rows.reserve(RowCount());
-  for (const auto& chunk : chunks) {
-    AppendRowsFromBatch(*chunk, 0, chunk->rows, &rows);
-  }
-  chunks.clear();
-  columnar = false;
-}
-
-void Relation::EnsureColumnar() {
-  if (columnar) return;
-  std::vector<SqlType> types;
-  types.reserve(cols.size());
-  for (const auto& c : cols) types.push_back(c.type);
-  chunks = {BatchFromRows(types, rows, 0, rows.size())};
-  rows.clear();
-  columnar = true;
 }
 
 std::shared_ptr<const ColumnBatch> Relation::SingleChunk() const {
@@ -79,21 +55,6 @@ int CompareForSort(const Datum& a, const Datum& b, bool descending,
   return descending ? -c : c;
 }
 
-
-size_t Executor::VecHashT::operator()(const std::vector<Datum>& v) const {
-  size_t h = 0x345678;
-  for (const Datum& d : v) h = h * 1000003 ^ d.Hash();
-  return h;
-}
-
-bool Executor::VecEqT::operator()(const std::vector<Datum>& a,
-                                  const std::vector<Datum>& b) const {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!Datum::GroupEquals(a[i], b[i])) return false;
-  }
-  return true;
-}
 
 namespace {
 // Gathers every column id produced anywhere inside an operator subtree.
@@ -138,10 +99,8 @@ bool Executor::IsCorrelationFree(const xtra::Op& op) {
 Result<Relation> Executor::Execute(const xtra::Op& op) { return Exec(op); }
 
 Result<Relation> Executor::Exec(const Op& op) {
-  // Correlation-free subtrees re-executed inside subqueries are cached.
-  // Invariant: whenever `outer_` is non-empty the returned relation is
-  // row-materialized — correlated machinery (subquery memo, select indexes)
-  // keeps pointers into `rows`, so vectorized results are converted here.
+  // Correlation-free subtrees re-executed inside subqueries are cached; the
+  // cached relation shares its chunks with every re-use.
   if (!outer_.empty()) {
     auto hit = relation_cache_.find(&op);
     if (hit != relation_cache_.end()) return *hit->second;
@@ -151,14 +110,10 @@ Result<Relation> Executor::Exec(const Op& op) {
     if (cf == correlation_free_.end()) correlation_free_[&op] = free;
     if (free && op.kind != OpKind::kGet) {
       HQ_ASSIGN_OR_RETURN(Relation rel, ExecDispatch(op));
-      rel.EnsureRows();
-      auto shared = std::make_shared<Relation>(std::move(rel));
+      auto shared = std::make_shared<const Relation>(std::move(rel));
       relation_cache_[&op] = shared;
       return *shared;
     }
-    HQ_ASSIGN_OR_RETURN(Relation rel, ExecDispatch(op));
-    rel.EnsureRows();
-    return rel;
   }
   return ExecDispatch(op);
 }
@@ -197,24 +152,26 @@ Result<Relation> Executor::ExecDispatch(const Op& op) {
   return Status::Internal("unknown operator kind");
 }
 
+namespace {
+Status CheckTableArity(const Table& table, const Op& get) {
+  if (table.columns.size() != get.output.size()) {
+    return Status::ExecutionError("table '", get.table_name, "' has ",
+                                  table.columns.size(),
+                                  " columns but the plan expects ",
+                                  get.output.size());
+  }
+  return Status::OK();
+}
+}  // namespace
+
 Result<Relation> Executor::ExecGet(const Op& op) {
   HQ_ASSIGN_OR_RETURN(const Table* table, storage_->GetTable(op.table_name));
-  if (table->columns.size() != op.output.size()) {
-    return Status::ExecutionError("table '", op.table_name, "' has ",
-                                  table->columns.size(),
-                                  " columns but the plan expects ",
-                                  op.output.size());
-  }
+  HQ_RETURN_IF_ERROR(CheckTableArity(*table, op));
   Relation rel;
   rel.cols = op.output;
   rel.BuildLayout();
-  if (outer_.empty()) {
-    // Zero-copy scan: share the table's cached columnar snapshot.
-    rel.chunks = {table->ColumnarSnapshot()};
-    rel.columnar = true;
-  } else {
-    rel.rows = table->rows;  // snapshot copy (correlated paths index rows)
-  }
+  // Zero-copy scan: share the table's cached columnar snapshot.
+  rel.chunks = {table->ColumnarSnapshot()};
   return rel;
 }
 
@@ -222,51 +179,24 @@ Result<Relation> Executor::ExecValues(const Op& op) {
   Relation rel;
   rel.cols = op.output;
   rel.BuildLayout();
-  Relation empty;
-  Row empty_row;
+  std::vector<SqlType> types;
+  types.reserve(op.output.size());
+  for (const auto& c : op.output) types.push_back(c.type);
+  BatchBuilder builder(types);
+  static const std::map<int, int> kEmptyLayout;
+  static const Row kEmptyRow;
+  Row out;
   for (const auto& row : op.rows) {
-    Row out;
+    out.clear();
     for (const auto& e : row) {
-      HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*e, empty.layout, empty_row));
+      HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*e, kEmptyLayout, kEmptyRow));
       out.push_back(std::move(v));
     }
-    rel.rows.push_back(std::move(out));
+    HQ_RETURN_IF_ERROR(builder.AppendRow(out));
   }
+  if (builder.rows() > 0) rel.chunks.push_back(builder.Finish());
   return rel;
 }
-
-namespace {
-void SplitConjuncts(const xtra::Expr* e, std::vector<const xtra::Expr*>* out) {
-  if (e->kind == xtra::ExprKind::kBool &&
-      e->boolk == xtra::BoolKind::kAnd) {
-    for (const auto& c : e->children) SplitConjuncts(c.get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
-bool ExprRefsOnly(const xtra::Expr& e,
-                  const std::function<bool(int)>& allowed, bool* any_ref) {
-  if (e.kind == xtra::ExprKind::kColRef) {
-    *any_ref = true;
-    return allowed(e.col_id);
-  }
-  if (e.subplan) return false;  // keep it simple: no nested subqueries
-  for (const auto& c : e.children) {
-    if (c && !ExprRefsOnly(*c, allowed, any_ref)) return false;
-  }
-  for (const auto& [w, t] : e.when_then) {
-    if (!ExprRefsOnly(*w, allowed, any_ref) ||
-        !ExprRefsOnly(*t, allowed, any_ref)) {
-      return false;
-    }
-  }
-  if (e.else_expr && !ExprRefsOnly(*e.else_expr, allowed, any_ref)) {
-    return false;
-  }
-  return true;
-}
-}  // namespace
 
 Result<Relation> Executor::ExecSelect(const Op& op) {
   // Correlated fast path: Select over Get with an equality between a table
@@ -277,26 +207,16 @@ Result<Relation> Executor::ExecSelect(const Op& op) {
     auto it = select_indexes_.find(&op);
     if (it == select_indexes_.end()) {
       auto idx = std::make_unique<SelectIndex>();
-      // Borrow the table's row storage instead of snapshotting it: the
-      // query executor never mutates storage (DML is rejected upstream),
-      // so the rows are stable for this executor's lifetime and copying a
-      // whole table per indexed subquery would dominate the plan.
       const Op& get_op = *op.children[0];
       HQ_ASSIGN_OR_RETURN(const Table* table,
                           storage_->GetTable(get_op.table_name));
-      if (table->columns.size() != get_op.output.size()) {
-        return Status::ExecutionError("table '", get_op.table_name, "' has ",
-                                      table->columns.size(),
-                                      " columns but the plan expects ",
-                                      get_op.output.size());
-      }
-      auto base = std::make_shared<Relation>();
-      base->cols = get_op.output;
-      base->BuildLayout();
-      idx->base = std::move(base);
-      idx->rows = &table->rows;
+      HQ_RETURN_IF_ERROR(CheckTableArity(*table, get_op));
+      idx->base.cols = get_op.output;
+      idx->base.BuildLayout();
+      idx->snapshot = table->ColumnarSnapshot();
+      const std::map<int, int>& base_layout = idx->base.layout;
       std::vector<const Expr*> conjuncts;
-      SplitConjuncts(op.predicate.get(), &conjuncts);
+      exec::SplitConjuncts(op.predicate.get(), &conjuncts);
       for (const Expr* c : conjuncts) {
         if (c->kind != ExprKind::kComp || c->comp != xtra::CompKind::kEq) {
           continue;
@@ -305,12 +225,11 @@ Result<Relation> Executor::ExecSelect(const Op& op) {
           const Expr& a = *c->children[side];
           const Expr& b = *c->children[1 - side];
           if (a.kind != ExprKind::kColRef) continue;
-          auto slot = idx->base->layout.find(a.col_id);
-          if (slot == idx->base->layout.end()) continue;
+          auto slot = base_layout.find(a.col_id);
+          if (slot == base_layout.end()) continue;
           bool any_ref = false;
-          bool outer_only = ExprRefsOnly(
-              b, [&](int id) { return !idx->base->layout.count(id); },
-              &any_ref);
+          bool outer_only = exec::ExprRefsOnly(
+              b, [&](int id) { return !base_layout.count(id); }, &any_ref);
           if (outer_only && any_ref) {
             idx->key_slot = slot->second;
             idx->outer_key = &b;
@@ -319,528 +238,56 @@ Result<Relation> Executor::ExecSelect(const Op& op) {
         if (idx->key_slot >= 0) break;
       }
       if (idx->key_slot >= 0) {
-        for (const Row& row : *idx->rows) {
-          const Datum& key = row[idx->key_slot];
-          if (!key.is_null()) idx->buckets[key].push_back(&row);
+        // A predicate holding a subquery may read any column through the
+        // outer-scope chain, so it sees the whole row.
+        std::set<int> read;
+        bool any_ref = false;
+        auto note = [&](int id) {
+          read.insert(id);
+          return true;
+        };
+        bool no_subquery = exec::ExprRefsOnly(*op.predicate, note, &any_ref);
+        for (const auto& [id, slot] : base_layout) {
+          if (no_subquery && !read.count(id)) continue;
+          idx->pred_layout[id] = static_cast<int>(idx->pred_slots.size());
+          idx->pred_slots.push_back(slot);
+        }
+        const ColumnVec& keys = *idx->snapshot->columns[idx->key_slot];
+        for (size_t r = 0; r < idx->snapshot->rows; ++r) {
+          if (!keys.IsNull(r)) {
+            idx->buckets[keys.GetDatum(r)].push_back(static_cast<uint32_t>(r));
+          }
         }
       }
       it = select_indexes_.emplace(&op, std::move(idx)).first;
     }
-    SelectIndex& idx = *it->second;
+    const SelectIndex& idx = *it->second;
     if (idx.key_slot >= 0) {
-      Relation rel;
-      rel.cols = idx.base->cols;
-      rel.layout = idx.base->layout;
+      Relation rel = idx.base;
       static const std::map<int, int> kEmptyLayout;
       static const Row kEmptyRow;
       HQ_ASSIGN_OR_RETURN(Datum key,
                           EvalExpr(*idx.outer_key, kEmptyLayout, kEmptyRow));
-      if (!key.is_null()) {
-        auto bucket = idx.buckets.find(key);
-        if (bucket != idx.buckets.end()) {
-          for (const Row* row : bucket->second) {
-            HQ_ASSIGN_OR_RETURN(
-                bool keep, EvalPredicate(*op.predicate, rel.layout, *row));
-            if (keep) rel.rows.push_back(*row);
-          }
-        }
+      auto bucket = key.is_null() ? idx.buckets.end() : idx.buckets.find(key);
+      if (bucket == idx.buckets.end()) return rel;
+      const std::vector<uint32_t>& rows = bucket->second;
+      ColumnBatch probe;
+      probe.rows = rows.size();
+      for (int slot : idx.pred_slots) {
+        probe.columns.push_back(
+            GatherColumn(*idx.snapshot->columns[slot], rows));
+      }
+      HQ_ASSIGN_OR_RETURN(std::vector<uint32_t> kept,
+                          SelectRows(*op.predicate, probe, idx.pred_layout));
+      for (uint32_t& k : kept) k = rows[k];
+      if (!kept.empty()) {
+        rel.chunks.push_back(GatherBatch(*idx.snapshot, kept));
       }
       return rel;
     }
   }
   HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  if (child.columnar && outer_.empty()) {
-    return SelectVec(op, std::move(child));
-  }
-  child.EnsureRows();
-  Relation rel;
-  rel.cols = child.cols;
-  rel.layout = child.layout;
-  for (auto& row : child.rows) {
-    HQ_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*op.predicate, child.layout,
-                                                 row));
-    if (keep) rel.rows.push_back(std::move(row));
-  }
-  return rel;
-}
-
-Result<Relation> Executor::ExecProject(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  if (child.columnar && outer_.empty() && !op.project_distinct) {
-    return ProjectVec(op, std::move(child));
-  }
-  child.EnsureRows();
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-  for (const auto& row : child.rows) {
-    Row out;
-    out.reserve(op.projections.size());
-    for (const auto& item : op.projections) {
-      HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*item.expr, child.layout, row));
-      out.push_back(std::move(v));
-    }
-    rel.rows.push_back(std::move(out));
-  }
-  if (op.project_distinct) {
-    std::unordered_set<Row, RowHash, RowEq> seen;
-    std::vector<Row> dedup;
-    for (auto& row : rel.rows) {
-      if (seen.insert(row).second) dedup.push_back(std::move(row));
-    }
-    rel.rows = std::move(dedup);
-  }
-  return rel;
-}
-
-Result<Relation> Executor::ExecWindow(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  child.EnsureRows();  // window functions stay on the row path
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-  size_t n = child.rows.size();
-
-  // Start from child rows; append one column per window item.
-  std::vector<Row> rows = std::move(child.rows);
-  for (const auto& item : op.windows) {
-    // Partition.
-    std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> parts;
-    for (size_t i = 0; i < n; ++i) {
-      Row key;
-      for (const auto& p : item.partition_by) {
-        HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*p, child.layout, rows[i]));
-        key.push_back(std::move(v));
-      }
-      parts[key].push_back(i);
-    }
-    std::vector<Datum> results(n);
-    for (auto& [key, idxs] : parts) {
-      // Order within the partition.
-      std::vector<std::vector<Datum>> sort_keys(idxs.size());
-      if (!item.order_by.empty()) {
-        for (size_t k = 0; k < idxs.size(); ++k) {
-          for (const auto& o : item.order_by) {
-            HQ_ASSIGN_OR_RETURN(Datum v,
-                                EvalExpr(*o.expr, child.layout,
-                                         rows[idxs[k]]));
-            sort_keys[k].push_back(std::move(v));
-          }
-        }
-        std::vector<size_t> order(idxs.size());
-        for (size_t k = 0; k < order.size(); ++k) order[k] = k;
-        std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-          for (size_t j = 0; j < item.order_by.size(); ++j) {
-            bool nf = item.order_by[j].nulls_first.value_or(
-                item.order_by[j].descending);  // vdb default: NULLs high
-            int c = CompareForSort(sort_keys[a][j], sort_keys[b][j],
-                                   item.order_by[j].descending, nf);
-            if (c != 0) return c < 0;
-          }
-          return false;
-        });
-        std::vector<size_t> reordered(idxs.size());
-        std::vector<std::vector<Datum>> rk(idxs.size());
-        for (size_t k = 0; k < order.size(); ++k) {
-          reordered[k] = idxs[order[k]];
-          rk[k] = std::move(sort_keys[order[k]]);
-        }
-        idxs = std::move(reordered);
-        sort_keys = std::move(rk);
-      }
-
-      auto peers_equal = [&](size_t a, size_t b) {
-        for (size_t j = 0; j < item.order_by.size(); ++j) {
-          if (!Datum::GroupEquals(sort_keys[a][j], sort_keys[b][j])) {
-            return false;
-          }
-        }
-        return true;
-      };
-
-      if (item.func == "ROW_NUMBER") {
-        for (size_t k = 0; k < idxs.size(); ++k) {
-          results[idxs[k]] = Datum::Int(static_cast<int64_t>(k) + 1);
-        }
-      } else if (item.func == "RANK" || item.func == "DENSE_RANK") {
-        int64_t rank = 0, dense = 0;
-        for (size_t k = 0; k < idxs.size(); ++k) {
-          if (k == 0 || !peers_equal(k, k - 1)) {
-            rank = static_cast<int64_t>(k) + 1;
-            ++dense;
-          }
-          results[idxs[k]] =
-              Datum::Int(item.func == "RANK" ? rank : dense);
-        }
-      } else {
-        // Aggregate window function.
-        if (item.order_by.empty()) {
-          // Whole-partition aggregate.
-          Accumulator acc(item.func, false);
-          for (size_t k = 0; k < idxs.size(); ++k) {
-            if (item.args.empty()) {
-              HQ_RETURN_IF_ERROR(acc.AddCountRow());
-            } else {
-              HQ_ASSIGN_OR_RETURN(
-                  Datum v, EvalExpr(*item.args[0], child.layout,
-                                    rows[idxs[k]]));
-              HQ_RETURN_IF_ERROR(acc.Add(v));
-            }
-          }
-          Datum v = acc.Finish();
-          for (size_t k = 0; k < idxs.size(); ++k) results[idxs[k]] = v;
-        } else {
-          // Running aggregate over peer groups (RANGE UNBOUNDED PRECEDING).
-          Accumulator acc(item.func, false);
-          size_t k = 0;
-          while (k < idxs.size()) {
-            size_t peer_end = k;
-            while (peer_end < idxs.size() && peers_equal(peer_end, k)) {
-              ++peer_end;
-            }
-            for (size_t j = k; j < peer_end; ++j) {
-              if (item.args.empty()) {
-                HQ_RETURN_IF_ERROR(acc.AddCountRow());
-              } else {
-                HQ_ASSIGN_OR_RETURN(
-                    Datum v, EvalExpr(*item.args[0], child.layout,
-                                      rows[idxs[j]]));
-                HQ_RETURN_IF_ERROR(acc.Add(v));
-              }
-            }
-            Datum v = acc.Finish();
-            for (size_t j = k; j < peer_end; ++j) results[idxs[j]] = v;
-            k = peer_end;
-          }
-        }
-      }
-    }
-    for (size_t i = 0; i < n; ++i) rows[i].push_back(std::move(results[i]));
-    // The next item may reference this one positionally via layout; extend
-    // the child layout accordingly.
-    child.layout[item.out_id] = static_cast<int>(rows.empty()
-                                                     ? child.cols.size()
-                                                     : rows[0].size() - 1);
-    child.cols.push_back({item.out_id, item.name, item.type});
-  }
-  rel.rows = std::move(rows);
-  return rel;
-}
-
-Result<Relation> Executor::ExecAggregate(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  if (child.columnar && outer_.empty()) {
-    return AggregateVec(op, std::move(child));
-  }
-  child.EnsureRows();
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-
-  struct GroupState {
-    Row key;
-    std::vector<Accumulator> accs;
-  };
-  std::unordered_map<Row, GroupState, RowHash, RowEq> groups;
-  std::vector<const Row*> group_order;  // deterministic output order
-
-  std::vector<Row> key_storage;
-  for (const auto& row : child.rows) {
-    Row key;
-    for (const auto& g : op.group_by) {
-      HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*g, child.layout, row));
-      key.push_back(std::move(v));
-    }
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      GroupState state;
-      state.key = key;
-      for (const auto& a : op.aggregates) {
-        state.accs.emplace_back(a.func, a.distinct);
-      }
-      it = groups.emplace(std::move(key), std::move(state)).first;
-      group_order.push_back(&it->first);
-    }
-    for (size_t i = 0; i < op.aggregates.size(); ++i) {
-      const auto& a = op.aggregates[i];
-      if (a.arg == nullptr) {
-        HQ_RETURN_IF_ERROR(it->second.accs[i].AddCountRow());
-      } else {
-        HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*a.arg, child.layout, row));
-        HQ_RETURN_IF_ERROR(it->second.accs[i].Add(v));
-      }
-    }
-  }
-
-  if (groups.empty() && op.group_by.empty()) {
-    // Global aggregate over empty input: one row of neutral values.
-    Row out;
-    for (const auto& a : op.aggregates) {
-      out.push_back(a.func == "COUNT" ? Datum::Int(0) : Datum::Null());
-    }
-    rel.rows.push_back(std::move(out));
-    return rel;
-  }
-
-  for (const Row* key : group_order) {
-    auto& state = groups.find(*key)->second;
-    Row out;
-    out.reserve(op.output.size());
-    for (const Datum& k : state.key) out.push_back(k);
-    for (const auto& acc : state.accs) out.push_back(acc.Finish());
-    rel.rows.push_back(std::move(out));
-  }
-  return rel;
-}
-
-Result<Relation> Executor::ExecJoin(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation left, Exec(*op.children[0]));
-  HQ_ASSIGN_OR_RETURN(Relation right, Exec(*op.children[1]));
-
-  // Hash-join fast path: extract equi-conjuncts whose sides bind entirely
-  // to one input each.
-  std::vector<const Expr*> left_keys, right_keys;
-  if (op.join_kind != xtra::JoinKind::kCross && op.predicate != nullptr) {
-    std::vector<const Expr*> conjuncts;
-    SplitConjuncts(op.predicate.get(), &conjuncts);
-    for (const Expr* c : conjuncts) {
-      if (c->kind != ExprKind::kComp || c->comp != xtra::CompKind::kEq) {
-        continue;
-      }
-      for (int side = 0; side < 2; ++side) {
-        const Expr& a = *c->children[side];
-        const Expr& b = *c->children[1 - side];
-        bool a_ref = false, b_ref = false;
-        bool a_left = ExprRefsOnly(
-            a, [&](int id) { return left.layout.count(id) > 0; }, &a_ref);
-        bool b_right = ExprRefsOnly(
-            b, [&](int id) { return right.layout.count(id) > 0; }, &b_ref);
-        if (a_left && b_right && a_ref && b_ref) {
-          left_keys.push_back(&a);
-          right_keys.push_back(&b);
-          break;
-        }
-      }
-    }
-  }
-
-  if (!left_keys.empty() && left.columnar && right.columnar &&
-      outer_.empty()) {
-    return JoinVec(op, std::move(left), std::move(right), left_keys,
-                   right_keys);
-  }
-  left.EnsureRows();
-  right.EnsureRows();
-
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-
-  // Combined layout for the predicate.
-  std::map<int, int> combined = left.layout;
-  for (const auto& [id, idx] : right.layout) {
-    combined[id] = idx + static_cast<int>(left.cols.size());
-  }
-
-  auto combine = [&](const Row& l, const Row& r) {
-    Row out;
-    out.reserve(l.size() + r.size());
-    out.insert(out.end(), l.begin(), l.end());
-    out.insert(out.end(), r.begin(), r.end());
-    return out;
-  };
-  Row null_left(left.cols.size());
-  Row null_right(right.cols.size());
-
-  bool need_right_match = op.join_kind == xtra::JoinKind::kRight ||
-                          op.join_kind == xtra::JoinKind::kFull;
-  std::vector<bool> right_matched(right.rows.size(), false);
-
-  if (!left_keys.empty()) {
-    std::unordered_map<std::vector<Datum>, std::vector<size_t>, VecHashT,
-                       VecEqT>
-        table;
-    for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-      std::vector<Datum> key;
-      bool null_key = false;
-      for (const Expr* k : right_keys) {
-        HQ_ASSIGN_OR_RETURN(Datum v,
-                            EvalExpr(*k, right.layout, right.rows[ri]));
-        if (v.is_null()) null_key = true;
-        key.push_back(std::move(v));
-      }
-      if (!null_key) table[std::move(key)].push_back(ri);
-    }
-    for (const auto& lrow : left.rows) {
-      bool matched = false;
-      std::vector<Datum> key;
-      bool null_key = false;
-      for (const Expr* k : left_keys) {
-        HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*k, left.layout, lrow));
-        if (v.is_null()) null_key = true;
-        key.push_back(std::move(v));
-      }
-      if (!null_key) {
-        auto bucket = table.find(key);
-        if (bucket != table.end()) {
-          for (size_t ri : bucket->second) {
-            Row candidate = combine(lrow, right.rows[ri]);
-            HQ_ASSIGN_OR_RETURN(
-                bool keep, EvalPredicate(*op.predicate, combined, candidate));
-            if (keep) {
-              matched = true;
-              if (need_right_match) right_matched[ri] = true;
-              rel.rows.push_back(std::move(candidate));
-            }
-          }
-        }
-      }
-      if (!matched && (op.join_kind == xtra::JoinKind::kLeft ||
-                       op.join_kind == xtra::JoinKind::kFull)) {
-        rel.rows.push_back(combine(lrow, null_right));
-      }
-    }
-    if (need_right_match) {
-      for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-        if (!right_matched[ri]) {
-          rel.rows.push_back(combine(null_left, right.rows[ri]));
-        }
-      }
-    }
-    return rel;
-  }
-
-  for (const auto& lrow : left.rows) {
-    bool matched = false;
-    for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-      Row candidate = combine(lrow, right.rows[ri]);
-      bool keep = true;
-      if (op.join_kind != xtra::JoinKind::kCross && op.predicate) {
-        HQ_ASSIGN_OR_RETURN(keep,
-                            EvalPredicate(*op.predicate, combined, candidate));
-      }
-      if (keep) {
-        matched = true;
-        if (need_right_match) right_matched[ri] = true;
-        rel.rows.push_back(std::move(candidate));
-      }
-    }
-    if (!matched && (op.join_kind == xtra::JoinKind::kLeft ||
-                     op.join_kind == xtra::JoinKind::kFull)) {
-      rel.rows.push_back(combine(lrow, null_right));
-    }
-  }
-  if (need_right_match) {
-    for (size_t ri = 0; ri < right.rows.size(); ++ri) {
-      if (!right_matched[ri]) {
-        rel.rows.push_back(combine(null_left, right.rows[ri]));
-      }
-    }
-  }
-  return rel;
-}
-
-Result<Relation> Executor::ExecSetOp(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation left, Exec(*op.children[0]));
-  HQ_ASSIGN_OR_RETURN(Relation right, Exec(*op.children[1]));
-  if (left.cols.size() != right.cols.size()) {
-    return Status::ExecutionError("set operation column count mismatch");
-  }
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-  if (op.setop_kind == xtra::SetOpKind::kUnionAll && left.columnar &&
-      right.columnar) {
-    rel.chunks = std::move(left.chunks);
-    for (auto& c : right.chunks) rel.chunks.push_back(std::move(c));
-    rel.columnar = true;
-    return rel;
-  }
-  left.EnsureRows();
-  right.EnsureRows();
-  switch (op.setop_kind) {
-    case xtra::SetOpKind::kUnionAll:
-      rel.rows = std::move(left.rows);
-      for (auto& r : right.rows) rel.rows.push_back(std::move(r));
-      break;
-    case xtra::SetOpKind::kUnion: {
-      std::unordered_set<Row, RowHash, RowEq> seen;
-      for (auto* src : {&left.rows, &right.rows}) {
-        for (auto& r : *src) {
-          if (seen.insert(r).second) rel.rows.push_back(std::move(r));
-        }
-      }
-      break;
-    }
-    case xtra::SetOpKind::kIntersect: {
-      std::unordered_set<Row, RowHash, RowEq> right_set(right.rows.begin(),
-                                                        right.rows.end());
-      std::unordered_set<Row, RowHash, RowEq> emitted;
-      for (auto& r : left.rows) {
-        if (right_set.count(r) && emitted.insert(r).second) {
-          rel.rows.push_back(std::move(r));
-        }
-      }
-      break;
-    }
-    case xtra::SetOpKind::kExcept: {
-      std::unordered_set<Row, RowHash, RowEq> right_set(right.rows.begin(),
-                                                        right.rows.end());
-      std::unordered_set<Row, RowHash, RowEq> emitted;
-      for (auto& r : left.rows) {
-        if (!right_set.count(r) && emitted.insert(r).second) {
-          rel.rows.push_back(std::move(r));
-        }
-      }
-      break;
-    }
-  }
-  return rel;
-}
-
-Result<Relation> Executor::ExecSort(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  if (child.columnar && outer_.empty()) {
-    return SortVec(op, std::move(child));
-  }
-  child.EnsureRows();
-  // Precompute sort keys.
-  std::vector<std::pair<std::vector<Datum>, Row>> keyed;
-  keyed.reserve(child.rows.size());
-  for (auto& row : child.rows) {
-    std::vector<Datum> keys;
-    for (const auto& item : op.sort_items) {
-      HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*item.expr, child.layout, row));
-      keys.push_back(std::move(v));
-    }
-    keyed.emplace_back(std::move(keys), std::move(row));
-  }
-  std::stable_sort(keyed.begin(), keyed.end(), [&](const auto& a,
-                                                   const auto& b) {
-    for (size_t i = 0; i < op.sort_items.size(); ++i) {
-      bool nf = op.sort_items[i].nulls_first.value_or(
-          op.sort_items[i].descending);  // vdb default: NULLs high
-      int c = CompareForSort(a.first[i], b.first[i],
-                             op.sort_items[i].descending, nf);
-      if (c != 0) return c < 0;
-    }
-    return false;
-  });
-  Relation rel;
-  rel.cols = child.cols;
-  rel.layout = child.layout;
-  for (auto& [keys, row] : keyed) rel.rows.push_back(std::move(row));
-  return rel;
-}
-
-Result<Relation> Executor::ExecLimit(const Op& op) {
-  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
-  if (child.columnar) return LimitVec(op, std::move(child));
-  if (op.limit_count >= 0 &&
-      child.rows.size() > static_cast<size_t>(op.limit_count)) {
-    child.rows.resize(op.limit_count);
-  }
-  return child;
+  return Filter(*op.predicate, std::move(child));
 }
 
 // ---------------------------------------------------------------------------
@@ -852,7 +299,10 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
   switch (op.kind) {
     case OpKind::kInsert: {
       HQ_ASSIGN_OR_RETURN(Relation src, Exec(*op.children[0]));
-      src.EnsureRows();
+      std::vector<Row> src_rows;
+      for (const auto& chunk : src.chunks) {
+        AppendRowsFromBatch(*chunk, 0, chunk->rows, &src_rows);
+      }
       // Map insert columns to table slots.
       std::vector<int> slots;
       if (op.target_columns.empty()) {
@@ -870,10 +320,10 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
           slots.push_back(idx);
         }
       }
-      if (!src.rows.empty() && src.rows[0].size() != slots.size()) {
+      if (!src_rows.empty() && src.cols.size() != slots.size()) {
         return Status::ExecutionError("INSERT source arity mismatch");
       }
-      for (const auto& in : src.rows) {
+      for (const auto& in : src_rows) {
         Row out(table->columns.size());
         for (size_t i = 0; i < slots.size(); ++i) {
           HQ_ASSIGN_OR_RETURN(Datum v,
@@ -889,7 +339,7 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
         table->rows.push_back(std::move(out));
       }
       ++table->version;  // invalidate the cached columnar snapshot
-      return static_cast<int64_t>(src.rows.size());
+      return static_cast<int64_t>(src_rows.size());
     }
     case OpKind::kUpdate: {
       // Layout: target col ids map onto table slots.
@@ -905,7 +355,10 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
         }
         assign_slots.push_back(idx);
       }
-      int64_t affected = 0;
+      // Every row is evaluated against the unmodified table before any is
+      // changed: a subquery reading the target table sees the statement's
+      // starting state, and an error leaves the table untouched.
+      std::vector<std::pair<Row*, Row>> updates;
       for (auto& row : table->rows) {
         bool hit = true;
         if (op.predicate) {
@@ -920,32 +373,36 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
               Datum cast, v.CastTo(table->columns[assign_slots[i]].type));
           updated[assign_slots[i]] = std::move(cast);
         }
-        row = std::move(updated);
-        ++affected;
+        updates.emplace_back(&row, std::move(updated));
       }
-      if (affected > 0) ++table->version;
-      return affected;
+      for (auto& [row, updated] : updates) *row = std::move(updated);
+      if (!updates.empty()) ++table->version;
+      return static_cast<int64_t>(updates.size());
     }
     case OpKind::kDelete: {
       std::map<int, int> layout;
       for (size_t i = 0; i < op.target_col_ids.size(); ++i) {
         layout[op.target_col_ids[i]] = static_cast<int>(i);
       }
-      std::vector<Row> kept;
+      // Decide every row before removing any (see UPDATE).
+      std::vector<uint8_t> doomed(table->rows.size(), 0);
       int64_t affected = 0;
-      for (auto& row : table->rows) {
+      for (size_t r = 0; r < table->rows.size(); ++r) {
         bool hit = true;
         if (op.predicate) {
-          HQ_ASSIGN_OR_RETURN(hit, EvalPredicate(*op.predicate, layout, row));
+          HQ_ASSIGN_OR_RETURN(
+              hit, EvalPredicate(*op.predicate, layout, table->rows[r]));
         }
-        if (hit) {
-          ++affected;
-        } else {
-          kept.push_back(std::move(row));
-        }
+        doomed[r] = hit;
+        affected += hit;
+      }
+      if (affected == 0) return affected;
+      std::vector<Row> kept;
+      for (size_t r = 0; r < table->rows.size(); ++r) {
+        if (!doomed[r]) kept.push_back(std::move(table->rows[r]));
       }
       table->rows = std::move(kept);
-      if (affected > 0) ++table->version;
+      ++table->version;
       return affected;
     }
     default:
@@ -956,11 +413,6 @@ Result<int64_t> Executor::ExecuteDml(const Op& op) {
 // ---------------------------------------------------------------------------
 // Scalar evaluation
 // ---------------------------------------------------------------------------
-
-Result<Datum> Executor::Eval(const Expr& e, const Relation& rel,
-                             const Row& row) {
-  return EvalExpr(e, rel.layout, row);
-}
 
 Result<bool> Executor::EvalPredicate(const Expr& e,
                                      const std::map<int, int>& layout,
@@ -973,17 +425,8 @@ Result<Datum> Executor::EvalExpr(const Expr& e,
                                  const std::map<int, int>& layout,
                                  const Row& row) {
   switch (e.kind) {
-    case ExprKind::kColRef: {
-      auto it = layout.find(e.col_id);
-      if (it != layout.end()) return row[it->second];
-      // Correlated reference: walk outer scopes innermost-first.
-      for (auto rit = outer_.rbegin(); rit != outer_.rend(); ++rit) {
-        auto oit = rit->layout->find(e.col_id);
-        if (oit != rit->layout->end()) return (*rit->row)[oit->second];
-      }
-      return Status::ExecutionError("unresolved column id ", e.col_id, " ('",
-                                    e.col_name, "') at execution");
-    }
+    case ExprKind::kColRef:
+      return ResolveColRef(e.col_id, layout, row, e.col_name);
     case ExprKind::kConst:
       return e.value;
     case ExprKind::kArith:
@@ -1277,20 +720,23 @@ Result<Datum> Executor::EvalFunc(const Expr& e,
   return Status::ExecutionError("vdb: unknown function '", f, "'");
 }
 
+Executor::SubqInfo& Executor::InfoFor(const Expr& e) {
+  std::unique_ptr<SubqInfo>& info = subq_info_[&e];
+  if (info == nullptr) {
+    info = std::make_unique<SubqInfo>();
+    info->outer_ids = CollectOuterRefs(*e.subplan);
+    std::sort(info->outer_ids.begin(), info->outer_ids.end());
+  }
+  return *info;
+}
+
 Result<Datum> Executor::EvalSubquery(const Expr& e,
                                      const std::map<int, int>& layout,
                                      const Row& row) {
   // Memoize by the outer values the subquery actually reads (plus the row
   // expressions on the comparison side): correlated subqueries typically
   // repeat a small set of keys across many outer rows.
-  auto info_it = subq_info_.find(&e);
-  if (info_it == subq_info_.end()) {
-    auto info = std::make_unique<SubqInfo>();
-    info->outer_ids = CollectOuterRefs(*e.subplan);
-    std::sort(info->outer_ids.begin(), info->outer_ids.end());
-    info_it = subq_info_.emplace(&e, std::move(info)).first;
-  }
-  SubqInfo& info = *info_it->second;
+  SubqInfo& info = InfoFor(e);
   std::vector<Datum> outer_key;
   bool memoizable = true;
   for (int id : info.outer_ids) {
@@ -1318,9 +764,11 @@ Result<Datum> Executor::EvalSubquery(const Expr& e,
     if (hit != info.memo.end()) return hit->second;
   }
   Datum result;
-  if (memoizable) {
+  if (memoizable && !e.children.empty()) {
     // The subplan's result depends only on the outer values, so distinct
-    // probe values (IN / quantified comparisons) share one execution.
+    // probe values (IN / quantified comparisons) share one execution. A
+    // scalar or EXISTS subquery has no probe value: `memo` already holds
+    // its answer per outer key, so its subplan result is not kept.
     auto prep_it = info.rel_memo.find(outer_key);
     if (prep_it == info.rel_memo.end()) {
       HQ_ASSIGN_OR_RETURN(
@@ -1332,7 +780,11 @@ Result<Datum> Executor::EvalSubquery(const Expr& e,
     HQ_ASSIGN_OR_RETURN(
         result, EvalSubqueryOverPrepared(e, prep_it->second, layout, row));
   } else {
-    HQ_ASSIGN_OR_RETURN(result, EvalSubqueryUncached(e, layout, row));
+    HQ_ASSIGN_OR_RETURN(
+        PreparedSubq prep,
+        PrepareSubquery(e, layout, row, /*build_index=*/false));
+    HQ_ASSIGN_OR_RETURN(result,
+                        EvalSubqueryOverPrepared(e, prep, layout, row));
   }
   if (memoizable) info.memo.emplace(std::move(memo_key), result);
   return result;
@@ -1352,14 +804,6 @@ Result<Datum> Executor::ResolveColRef(int col_id,
                                 "') at execution");
 }
 
-Result<Datum> Executor::EvalSubqueryUncached(const Expr& e,
-                                             const std::map<int, int>& layout,
-                                             const Row& row) {
-  HQ_ASSIGN_OR_RETURN(PreparedSubq prep,
-                      PrepareSubquery(e, layout, row, /*build_index=*/false));
-  return EvalSubqueryOverPrepared(e, prep, layout, row);
-}
-
 Result<Executor::PreparedSubq> Executor::PrepareSubquery(
     const Expr& e, const std::map<int, int>& layout, const Row& row,
     bool build_index) {
@@ -1367,80 +811,79 @@ Result<Executor::PreparedSubq> Executor::PrepareSubquery(
   auto result = Exec(*e.subplan);
   outer_.pop_back();
   HQ_RETURN_IF_ERROR(result.status());
-  Relation& rel = result.value();
-  rel.EnsureRows();
 
   PreparedSubq prep;
-  prep.exists = !rel.rows.empty();
-  auto rows = std::make_shared<std::vector<Row>>(std::move(rel.rows));
+  prep.batch = result->SingleChunk();
   if (build_index && e.kind == ExprKind::kSubqIn) {
-    bool all_i64 = true, all_str = true;
-    for (const auto& r : *rows) {
-      if (r[0].is_null()) {
-        prep.saw_null = true;
-        continue;
-      }
-      all_i64 = all_i64 && r[0].is_int();
-      all_str = all_str && r[0].is_string();
-    }
-    if (all_i64) {
+    const ColumnVec& first = *prep.batch->columns[0];
+    if (first.kind == PhysKind::kI64) {
       prep.index = PreparedSubq::Index::kI64;
-      for (const auto& r : *rows) {
-        if (!r[0].is_null()) prep.i64s.insert(r[0].int_val());
-      }
-    } else if (all_str) {
+    } else if (first.kind == PhysKind::kString) {
       prep.index = PreparedSubq::Index::kStr;
-      for (const auto& r : *rows) {
-        if (!r[0].is_null()) prep.strs.insert(r[0].string_val());
+    }
+    for (size_t r = 0; r < prep.batch->rows; ++r) {
+      if (first.IsNull(r)) {
+        prep.saw_null = true;
+      } else if (prep.index == PreparedSubq::Index::kI64) {
+        prep.i64s.insert(first.i64[r]);
+      } else if (prep.index == PreparedSubq::Index::kStr) {
+        prep.strs.emplace(exec::TrimTrailingBlanks(first.StringAt(r)));
       }
     }
   }
-  prep.rows = std::move(rows);
   return prep;
+}
+
+Result<Datum> Executor::InSubquery(const Expr& e, const PreparedSubq& prep,
+                                   const Datum& v) {
+  const ColumnBatch& sub = *prep.batch;
+  // x IN (empty) is false even for a NULL x: no row compares UNKNOWN.
+  if (sub.rows == 0) return Datum::Bool(e.negated);
+  if (v.is_null()) return Datum::Null();
+  bool hit = false;
+  if (prep.index == PreparedSubq::Index::kI64 && v.is_int()) {
+    hit = prep.i64s.count(v.int_val()) > 0;
+  } else if (prep.index == PreparedSubq::Index::kStr && v.is_string()) {
+    hit = prep.strs.count(std::string(
+              exec::TrimTrailingBlanks(v.string_val()))) > 0;
+  } else {
+    bool saw_null = false;
+    const ColumnVec& first = *sub.columns[0];
+    for (size_t r = 0; r < sub.rows && !hit; ++r) {
+      if (first.IsNull(r)) {
+        saw_null = true;
+        continue;
+      }
+      HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(v, first.GetDatum(r)));
+      hit = c == 0;
+    }
+    if (!hit && saw_null) return Datum::Null();
+    return Datum::Bool(hit != e.negated);
+  }
+  if (!hit && prep.saw_null) return Datum::Null();
+  return Datum::Bool(hit != e.negated);
 }
 
 Result<Datum> Executor::EvalSubqueryOverPrepared(
     const Expr& e, const PreparedSubq& prep, const std::map<int, int>& layout,
     const Row& row) {
-  const std::vector<Row>& rows = *prep.rows;
+  const ColumnBatch& sub = *prep.batch;
   switch (e.kind) {
     case ExprKind::kSubqScalar: {
-      if (rows.empty()) return Datum::Null();
-      if (rows.size() > 1) {
+      if (sub.rows == 0) return Datum::Null();
+      if (sub.rows > 1) {
         return Status::ExecutionError(
             "scalar subquery returned more than one row");
       }
-      return rows[0][0];
+      return sub.columns[0]->GetDatum(0);
     }
     case ExprKind::kSubqExists: {
-      return Datum::Bool(e.negated ? !prep.exists : prep.exists);
+      bool exists = sub.rows > 0;
+      return Datum::Bool(e.negated ? !exists : exists);
     }
     case ExprKind::kSubqIn: {
       HQ_ASSIGN_OR_RETURN(Datum v, EvalExpr(*e.children[0], layout, row));
-      if (v.is_null()) return Datum::Null();
-      if (prep.index == PreparedSubq::Index::kI64 && v.is_int()) {
-        if (prep.i64s.count(v.int_val()) > 0) return Datum::Bool(!e.negated);
-        if (prep.saw_null) return Datum::Null();
-        return Datum::Bool(e.negated);
-      }
-      if (prep.index == PreparedSubq::Index::kStr && v.is_string()) {
-        if (prep.strs.count(v.string_val()) > 0) {
-          return Datum::Bool(!e.negated);
-        }
-        if (prep.saw_null) return Datum::Null();
-        return Datum::Bool(e.negated);
-      }
-      bool saw_null = false;
-      for (const auto& r : rows) {
-        if (r[0].is_null()) {
-          saw_null = true;
-          continue;
-        }
-        HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(v, r[0]));
-        if (c == 0) return Datum::Bool(!e.negated);
-      }
-      if (saw_null) return Datum::Null();
-      return Datum::Bool(e.negated);
+      return InSubquery(e, prep, v);
     }
     case ExprKind::kSubqQuantified: {
       // Scalar ANY/ALL (vector comparisons were rewritten upstream; vdb
@@ -1453,15 +896,16 @@ Result<Datum> Executor::EvalSubqueryOverPrepared(
       bool is_any = e.quantifier == xtra::Quantifier::kAny;
       bool saw_null = false;
       bool any_true = false, all_true = true;
-      for (const auto& r : rows) {
+      for (size_t r = 0; r < sub.rows; ++r) {
         bool row_null = false;
         int cmp = 0;
         for (size_t i = 0; i < vals.size(); ++i) {
-          if (vals[i].is_null() || r[i].is_null()) {
+          const ColumnVec& col = *sub.columns[i];
+          if (vals[i].is_null() || col.IsNull(r)) {
             row_null = true;
             break;
           }
-          HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(vals[i], r[i]));
+          HQ_ASSIGN_OR_RETURN(int c, Datum::Compare(vals[i], col.GetDatum(r)));
           if (c != 0) {
             cmp = c;
             break;
@@ -1500,7 +944,7 @@ Result<Datum> Executor::EvalSubqueryOverPrepared(
         if (saw_null) return Datum::Null();
         return Datum::Bool(false);
       }
-      if (rows.empty()) return Datum::Bool(true);
+      if (sub.rows == 0) return Datum::Bool(true);
       if (!all_true) return Datum::Bool(false);
       if (saw_null) return Datum::Null();
       return Datum::Bool(true);

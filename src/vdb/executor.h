@@ -1,9 +1,12 @@
 // Volcano-ish interpreter executing XTRA plans against vdb storage.
 //
-// Operators materialize their results (the evaluation workloads fit in
-// memory at benchmark scale); scalar evaluation is a tree-walking
-// interpreter over Datum with SQL three-valued logic. Correlated subqueries
-// execute their subplans per outer row through an outer-scope chain.
+// Every operator consumes and emits ColumnBatch chunks and materializes its
+// result (the evaluation workloads fit in memory at benchmark scale).
+// Expressions are evaluated column-at-a-time, falling back per expression to
+// a tree-walking interpreter over Datum with SQL three-valued logic.
+// Correlated subqueries execute their subplans per outer row through an
+// outer-scope chain; inside a subplan an outer reference is a broadcast
+// constant.
 
 #pragma once
 
@@ -14,29 +17,18 @@
 #include <vector>
 
 #include "common/result.h"
+#include "vdb/exec_util.h"
 #include "vdb/storage.h"
 #include "xtra/xtra.h"
 
 namespace hyperq::vdb {
 
-/// \brief A materialized intermediate result.
-///
-/// Since the columnar data-plane redesign (DESIGN.md §15) a relation carries
-/// its data either as `chunks` (a list of shared ColumnBatch, the fast path)
-/// or as `rows` (the legacy row-at-a-time shim). `columnar` says which form
-/// is authoritative; `EnsureRows()` / `EnsureColumnar()` convert on demand.
+/// \brief A materialized intermediate result: shared, immutable ColumnBatch
+/// chunks (DESIGN.md §15). Operators alias chunks instead of copying them.
 struct Relation {
   std::vector<xtra::ColumnInfo> cols;
   std::map<int, int> layout;  // col id -> slot index
-
-  /// \deprecated Row-oriented shim. New code should consume `chunks`; call
-  /// EnsureRows() before touching this member.
-  std::vector<Row> rows;
-
-  /// Columnar payload (authoritative when `columnar` is true). Chunks are
-  /// shared and immutable; operators alias them instead of copying.
   std::vector<std::shared_ptr<const ColumnBatch>> chunks;
-  bool columnar = false;
 
   void BuildLayout() {
     layout.clear();
@@ -46,11 +38,8 @@ struct Relation {
   }
 
   size_t RowCount() const;
-  /// \brief Materializes `rows` from `chunks` (no-op when already rows).
-  void EnsureRows();
-  /// \brief Builds one chunk from `rows` (no-op when already columnar).
-  void EnsureColumnar();
-  /// \brief Concatenates `chunks` to a single batch (requires columnar).
+  /// \brief Concatenates `chunks` to a single batch (one column vector per
+  /// slot even when there are no rows).
   std::shared_ptr<const ColumnBatch> SingleChunk() const;
 };
 
@@ -66,11 +55,6 @@ class Executor {
   /// \brief Runs a DML plan; returns the number of affected rows.
   Result<int64_t> ExecuteDml(const xtra::Op& op);
 
-  /// \brief Evaluates a scalar expression against one row (exposed for
-  /// tests and the emulation layer's constant evaluation).
-  Result<Datum> Eval(const xtra::Expr& e, const Relation& rel,
-                     const Row& row);
-
   /// One evaluated expression over a chunk: either a column of the chunk's
   /// row count or a broadcast scalar constant. Public so executor_vec.cc's
   /// file-local kernels can operate on it; not part of the stable API.
@@ -81,6 +65,8 @@ class Executor {
   };
 
  private:
+  /// One row of an enclosing query, visible to a subplan's outer
+  /// references while the subplan runs.
   struct OuterScope {
     const std::map<int, int>* layout;
     const Row* row;
@@ -99,9 +85,14 @@ class Executor {
   Result<Relation> ExecSort(const xtra::Op& op);
   Result<Relation> ExecLimit(const xtra::Op& op);
 
-  // --- Vectorized operator paths (executor_vec.cc) ----------------------
-  // Entered only when `outer_` is empty (no correlation in flight) and the
-  // child relation is columnar; they consume and emit batches.
+  /// Keeps the rows of `child` for which `predicate` is true.
+  Result<Relation> Filter(const xtra::Expr& predicate, Relation child);
+  /// Indices of the rows of `batch` for which `predicate` is true.
+  Result<std::vector<uint32_t>> SelectRows(const xtra::Expr& predicate,
+                                           const ColumnBatch& batch,
+                                           const std::map<int, int>& layout);
+
+  // --- Vector expression evaluation (executor_vec.cc) --------------------
 
   /// Evaluation context for one chunk; caches lazily materialized rows for
   /// expression shapes that fall back to the tree-walking interpreter. Rows
@@ -122,14 +113,9 @@ class Executor {
   Result<std::shared_ptr<const ColumnVec>> MaterializeVec(const VecVal& v,
                                                           size_t n);
 
-  Result<Relation> SelectVec(const xtra::Op& op, Relation child);
-  Result<Relation> ProjectVec(const xtra::Op& op, Relation child);
-  Result<Relation> AggregateVec(const xtra::Op& op, Relation child);
-  Result<Relation> JoinVec(const xtra::Op& op, Relation left, Relation right,
-                           const std::vector<const xtra::Expr*>& left_keys,
-                           const std::vector<const xtra::Expr*>& right_keys);
-  Result<Relation> SortVec(const xtra::Op& op, Relation child);
-  Result<Relation> LimitVec(const xtra::Op& op, Relation child);
+  // --- Row-at-a-time scalar evaluation (executor.cc) ---------------------
+  // Used for expression shapes the vector evaluator does not cover, for
+  // UPDATE/DELETE over row-major storage, and for outer references.
 
   Result<Datum> EvalExpr(const xtra::Expr& e, const std::map<int, int>& layout,
                          const Row& row);
@@ -144,8 +130,7 @@ class Executor {
   /// the index can never change the answer; mixed or approximate kinds
   /// keep the loop.
   struct PreparedSubq {
-    std::shared_ptr<const std::vector<Row>> rows;
-    bool exists = false;
+    std::shared_ptr<const ColumnBatch> batch;  // the subplan's rows
     bool saw_null = false;  // NULL among the first-column values
     enum class Index { kNone, kI64, kStr } index = Index::kNone;
     std::unordered_set<int64_t> i64s;
@@ -154,9 +139,6 @@ class Executor {
 
   Result<Datum> EvalSubquery(const xtra::Expr& e,
                              const std::map<int, int>& layout, const Row& row);
-  Result<Datum> EvalSubqueryUncached(const xtra::Expr& e,
-                                     const std::map<int, int>& layout,
-                                     const Row& row);
   Result<PreparedSubq> PrepareSubquery(const xtra::Expr& e,
                                        const std::map<int, int>& layout,
                                        const Row& row, bool build_index);
@@ -164,10 +146,18 @@ class Executor {
                                          const PreparedSubq& prep,
                                          const std::map<int, int>& layout,
                                          const Row& row);
+  /// `v` [NOT] IN the first column of a prepared subplan result.
+  Result<Datum> InSubquery(const xtra::Expr& e, const PreparedSubq& prep,
+                           const Datum& v);
 
   /// Truth test for predicates: NULL counts as false.
   Result<bool> EvalPredicate(const xtra::Expr& e,
                              const std::map<int, int>& layout, const Row& row);
+
+  /// Resolves `col_id` against `layout`/`row`, then the outer scopes
+  /// innermost-first.
+  Result<Datum> ResolveColRef(int col_id, const std::map<int, int>& layout,
+                              const Row& row, const std::string& name);
 
   /// True when every column reference below `op` is produced inside it
   /// (no correlation) — such subtrees can be cached across re-executions.
@@ -182,48 +172,39 @@ class Executor {
   // values, (2) relation caching for correlation-free subtrees, and
   // (3) hash indexes for Select-over-Get with an equality against an outer
   // value.
-  struct VecHashT {
-    size_t operator()(const std::vector<Datum>& v) const;
-  };
-  struct VecEqT {
-    bool operator()(const std::vector<Datum>& a,
-                    const std::vector<Datum>& b) const;
-  };
   struct SubqInfo {
     std::vector<int> outer_ids;  // outer column ids the subplan reads
-    std::unordered_map<std::vector<Datum>, Datum, VecHashT, VecEqT> memo;
+    std::unordered_map<Row, Datum, exec::RowHash, exec::RowEq> memo;
     // Subplan results memoized by the outer values alone: an IN/quantified
     // subquery is keyed on (outer values, probe value) in `memo`, so
     // without this every distinct probe value would re-execute the whole
     // subplan instead of re-probing one prepared result.
-    std::unordered_map<std::vector<Datum>, PreparedSubq, VecHashT, VecEqT>
-        rel_memo;
-  };
-  struct DatumHashT {
-    size_t operator()(const Datum& d) const { return d.Hash(); }
-  };
-  struct DatumEqT {
-    bool operator()(const Datum& a, const Datum& b) const {
-      return Datum::GroupEquals(a, b);
-    }
+    std::unordered_map<Row, PreparedSubq, exec::RowHash, exec::RowEq> rel_memo;
   };
   struct SelectIndex {
     int key_slot = -1;                      // slot in the Get output
     const xtra::Expr* outer_key = nullptr;  // outer-only key expression
-    std::unordered_map<Datum, std::vector<const Row*>, DatumHashT, DatumEqT>
+    /// Row indices into `snapshot`, bucketed by the key column's value.
+    std::unordered_map<Datum, std::vector<uint32_t>, exec::DatumHash,
+                       exec::DatumEq>
         buckets;
-    std::shared_ptr<Relation> base;  // schema (cols + layout) only
-    /// Indexed rows, borrowed from the Table (stable for this executor's
-    /// lifetime: the query executor never mutates storage).
-    const std::vector<Row>* rows = nullptr;
+    Relation base;  // schema (cols + layout) only
+    /// The table's columnar snapshot, shared and immutable (DML changes
+    /// the table only after its statement's subqueries have run).
+    std::shared_ptr<const ColumnBatch> snapshot;
+    /// Snapshot slots the predicate reads, and their col id -> position
+    /// layout: a bucket is filtered on those columns alone, and only the
+    /// rows that pass are gathered whole.
+    std::vector<int> pred_slots;
+    std::map<int, int> pred_layout;
   };
 
-  Result<Datum> ResolveColRef(int col_id, const std::map<int, int>& layout,
-                              const Row& row, const std::string& name);
+  /// The subquery's SubqInfo, created (outer ids collected) on first use.
+  SubqInfo& InfoFor(const xtra::Expr& e);
 
   std::map<const xtra::Expr*, std::unique_ptr<SubqInfo>> subq_info_;
   std::map<const xtra::Op*, std::unique_ptr<SelectIndex>> select_indexes_;
-  std::map<const xtra::Op*, std::shared_ptr<Relation>> relation_cache_;
+  std::map<const xtra::Op*, std::shared_ptr<const Relation>> relation_cache_;
   std::map<const xtra::Op*, bool> correlation_free_;
 };
 

@@ -1,14 +1,19 @@
-// Vectorized operator paths of the vdb executor (DESIGN.md §15).
+// Batch operators and vector expression evaluation of the vdb executor
+// (DESIGN.md §15).
 //
-// These methods run only when no correlation is in flight (`outer_` empty):
-// they evaluate expressions column-at-a-time over ColumnBatch chunks and
-// fall back, per expression, to the tree-walking interpreter for shapes the
-// vector evaluator does not cover (functions, CASE, subqueries). Operators
-// that stay row-oriented (window, DISTINCT dedup, non-UNION-ALL set ops)
-// materialize rows up front in executor.cc.
+// Every operator consumes and emits ColumnBatch chunks. Expressions are
+// evaluated column-at-a-time and fall back, per expression, to the
+// tree-walking interpreter for shapes the vector evaluator does not cover
+// (functions, CASE, subqueries). Inside a correlated subplan an outer
+// reference is a broadcast constant. Window functions and the set
+// semantics of DISTINCT, UNION, INTERSECT and EXCEPT compare boxed rows
+// inside their operator and still emit batches.
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "vdb/exec_util.h"
 #include "vdb/executor.h"
@@ -126,9 +131,7 @@ SideView MakeSide(const Executor::VecVal& v) {
 
 // Blank-padded comparison used by Datum::Compare for strings.
 int TrimmedCompare(std::string_view a, std::string_view b) {
-  while (!a.empty() && a.back() == ' ') a.remove_suffix(1);
-  while (!b.empty() && b.back() == ' ') b.remove_suffix(1);
-  int c = a.compare(b);
+  int c = exec::TrimTrailingBlanks(a).compare(exec::TrimTrailingBlanks(b));
   return c < 0 ? -1 : c > 0 ? 1 : 0;
 }
 
@@ -278,13 +281,19 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
   switch (e.kind) {
     case ExprKind::kColRef: {
       auto it = ctx.layout->find(e.col_id);
-      if (it == ctx.layout->end() ||
-          static_cast<size_t>(it->second) >= ctx.batch->columns.size()) {
-        return Status::ExecutionError("unresolved column id ", e.col_id,
-                                      " ('", e.col_name, "') at execution");
-      }
       VecVal out;
-      out.col = ctx.batch->columns[it->second];
+      if (it != ctx.layout->end()) {
+        out.col = ctx.batch->columns[it->second];
+        return out;
+      }
+      // An outer reference (inside a correlated subplan) is constant over
+      // the batch: resolve it once through the outer scopes.
+      static const std::map<int, int> kEmptyLayout;
+      static const Row kEmptyRow;
+      HQ_ASSIGN_OR_RETURN(
+          out.scalar, ResolveColRef(e.col_id, kEmptyLayout, kEmptyRow,
+                                    e.col_name));
+      out.is_const = true;
       return out;
     }
     case ExprKind::kConst: {
@@ -677,13 +686,47 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
       out.col = std::move(col);
       return out;
     }
+    case ExprKind::kSubqScalar:
+    case ExprKind::kSubqExists:
+    case ExprKind::kSubqIn: {
+      // An uncorrelated subquery runs once: a scalar or EXISTS answer is
+      // broadcast, an IN probes the prepared result per row. Correlated
+      // ones run per row through the interpreter.
+      if (n == 0 || !InfoFor(e).outer_ids.empty()) {
+        return EvalExprVecFallback(e, ctx);
+      }
+      static const std::map<int, int> kEmptyLayout;
+      static const Row kEmptyRow;
+      VecVal out;
+      if (e.kind != ExprKind::kSubqIn) {
+        HQ_ASSIGN_OR_RETURN(out.scalar,
+                            EvalSubquery(e, kEmptyLayout, kEmptyRow));
+        out.is_const = true;
+        return out;
+      }
+      auto& rel_memo = InfoFor(e).rel_memo;
+      auto prep = rel_memo.find(Row{});
+      if (prep == rel_memo.end()) {
+        HQ_ASSIGN_OR_RETURN(
+            PreparedSubq prepared,
+            PrepareSubquery(e, kEmptyLayout, kEmptyRow, /*build_index=*/true));
+        prep = rel_memo.emplace(Row{}, std::move(prepared)).first;
+      }
+      HQ_ASSIGN_OR_RETURN(VecVal probe, EvalExprVec(*e.children[0], ctx));
+      SideView side = MakeSide(probe);
+      auto col = std::make_shared<ColumnVec>(PhysKind::kBool);
+      col->Reserve(n);
+      for (size_t r = 0; r < n; ++r) {
+        HQ_ASSIGN_OR_RETURN(Datum in, InSubquery(e, prep->second, side.At(r)));
+        col->Append(in);
+      }
+      out.col = std::move(col);
+      return out;
+    }
     case ExprKind::kFunc:
     case ExprKind::kAgg:
     case ExprKind::kCase:
     case ExprKind::kExtract:
-    case ExprKind::kSubqScalar:
-    case ExprKind::kSubqExists:
-    case ExprKind::kSubqIn:
     case ExprKind::kSubqQuantified:
       return EvalExprVecFallback(e, ctx);
   }
@@ -691,46 +734,80 @@ Result<Executor::VecVal> Executor::EvalExprVec(const Expr& e, VecCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized operators
+// Operators
 // ---------------------------------------------------------------------------
 
-Result<Relation> Executor::SelectVec(const Op& op, Relation child) {
-  Relation rel;
-  rel.cols = child.cols;
-  rel.layout = child.layout;
-  rel.columnar = true;
-  for (const auto& chunk : child.chunks) {
-    const size_t n = chunk->rows;
-    if (n == 0) continue;
-    VecCtx ctx;
-    ctx.batch = chunk.get();
-    ctx.layout = &child.layout;
-    HQ_ASSIGN_OR_RETURN(VecVal mask, EvalExprVec(*op.predicate, ctx));
-    if (mask.is_const) {
-      bool keep = !mask.scalar.is_null() && mask.scalar.is_bool() &&
-                  mask.scalar.bool_val();
-      if (keep) rel.chunks.push_back(chunk);
-      continue;
-    }
+namespace {
+
+// Appends rows `idx` of `chunk` to `out`: the chunk itself when all of its
+// rows are kept, a gathered copy otherwise.
+void AppendKept(const std::shared_ptr<const ColumnBatch>& chunk,
+                const std::vector<uint32_t>& idx, Relation* out) {
+  if (idx.empty()) return;
+  out->chunks.push_back(idx.size() == chunk->rows ? chunk
+                                                  : GatherBatch(*chunk, idx));
+}
+
+// Appends the rows of `src` for which `keep` holds to `out`. Row-at-a-time
+// set semantics (DISTINCT, UNION, INTERSECT, EXCEPT) box each row for the
+// test.
+void KeepRows(const Relation& src, const std::function<bool(const Row&)>& keep,
+              Relation* out) {
+  Row row;
+  for (const auto& chunk : src.chunks) {
     std::vector<uint32_t> idx;
-    idx.reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      if (MaskTrueAt(*mask.col, r)) idx.push_back(static_cast<uint32_t>(r));
+    for (size_t r = 0; r < chunk->rows; ++r) {
+      chunk->FillRow(r, &row);
+      if (keep(row)) idx.push_back(static_cast<uint32_t>(r));
     }
-    if (idx.size() == n) {
-      rel.chunks.push_back(chunk);
-    } else if (!idx.empty()) {
-      rel.chunks.push_back(GatherBatch(*chunk, idx));
+    AppendKept(chunk, idx, out);
+  }
+}
+
+// Candidate pairs a join rechecks against its full predicate in one batch.
+constexpr size_t kJoinPairBlock = 4096;
+
+}  // namespace
+
+Result<std::vector<uint32_t>> Executor::SelectRows(
+    const Expr& predicate, const ColumnBatch& batch,
+    const std::map<int, int>& layout) {
+  VecCtx ctx;
+  ctx.batch = &batch;
+  ctx.layout = &layout;
+  HQ_ASSIGN_OR_RETURN(VecVal mask, EvalExprVec(predicate, ctx));
+  std::vector<uint32_t> idx;
+  if (mask.is_const) {
+    const Datum& d = mask.scalar;
+    if (d.is_null() || !d.is_bool() || !d.bool_val()) return idx;
+  }
+  idx.reserve(batch.rows);
+  for (size_t r = 0; r < batch.rows; ++r) {
+    if (mask.is_const || MaskTrueAt(*mask.col, r)) {
+      idx.push_back(static_cast<uint32_t>(r));
     }
+  }
+  return idx;
+}
+
+Result<Relation> Executor::Filter(const Expr& predicate, Relation child) {
+  Relation rel;
+  rel.cols = std::move(child.cols);
+  rel.layout = std::move(child.layout);
+  for (const auto& chunk : child.chunks) {
+    if (chunk->rows == 0) continue;
+    HQ_ASSIGN_OR_RETURN(std::vector<uint32_t> idx,
+                        SelectRows(predicate, *chunk, rel.layout));
+    AppendKept(chunk, idx, &rel);
   }
   return rel;
 }
 
-Result<Relation> Executor::ProjectVec(const Op& op, Relation child) {
+Result<Relation> Executor::ExecProject(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
   Relation rel;
   rel.cols = op.output;
   rel.BuildLayout();
-  rel.columnar = true;
   for (const auto& chunk : child.chunks) {
     const size_t n = chunk->rows;
     VecCtx ctx;
@@ -747,10 +824,130 @@ Result<Relation> Executor::ProjectVec(const Op& op, Relation child) {
     }
     rel.chunks.push_back(std::move(out));
   }
+  if (!op.project_distinct) return rel;
+  Relation distinct;
+  distinct.cols = rel.cols;
+  distinct.layout = rel.layout;
+  std::unordered_set<Row, RowHash, RowEq> seen;
+  KeepRows(rel, [&](const Row& r) { return seen.insert(r).second; },
+           &distinct);
+  return distinct;
+}
+
+Result<Relation> Executor::ExecWindow(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
+  // Each window item appends one column to the batch; a later item may
+  // read an earlier one through the extended layout.
+  auto batch = std::make_shared<ColumnBatch>(*child.SingleChunk());
+  std::map<int, int> layout = child.layout;
+  const size_t n = batch->rows;
+
+  for (const auto& item : op.windows) {
+    VecCtx ctx;
+    ctx.batch = batch.get();
+    ctx.layout = &layout;
+    auto values = [&](const Expr& e) -> Result<std::vector<Datum>> {
+      HQ_ASSIGN_OR_RETURN(VecVal v, EvalExprVec(e, ctx));
+      SideView side = MakeSide(v);
+      std::vector<Datum> out;
+      out.reserve(n);
+      for (size_t r = 0; r < n; ++r) out.push_back(side.At(r));
+      return out;
+    };
+    std::vector<std::vector<Datum>> part_vals, order_vals;
+    for (const auto& p : item.partition_by) {
+      HQ_ASSIGN_OR_RETURN(std::vector<Datum> v, values(*p));
+      part_vals.push_back(std::move(v));
+    }
+    for (const auto& o : item.order_by) {
+      HQ_ASSIGN_OR_RETURN(std::vector<Datum> v, values(*o.expr));
+      order_vals.push_back(std::move(v));
+    }
+    std::vector<Datum> arg_vals;
+    if (!item.args.empty()) {
+      HQ_ASSIGN_OR_RETURN(arg_vals, values(*item.args[0]));
+    }
+
+    // Partition.
+    std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> parts;
+    Row key(part_vals.size());
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t k = 0; k < part_vals.size(); ++k) key[k] = part_vals[k][i];
+      parts[key].push_back(i);
+    }
+    auto add = [&](Accumulator& acc, size_t i) {
+      return item.args.empty() ? acc.AddCountRow() : acc.Add(arg_vals[i]);
+    };
+    std::vector<Datum> results(n);
+    for (auto& [pkey, idxs] : parts) {
+      // Order within the partition.
+      if (!item.order_by.empty()) {
+        std::stable_sort(idxs.begin(), idxs.end(), [&](size_t a, size_t b) {
+          for (size_t j = 0; j < item.order_by.size(); ++j) {
+            bool nf = item.order_by[j].nulls_first.value_or(
+                item.order_by[j].descending);  // vdb default: NULLs high
+            int c = CompareForSort(order_vals[j][a], order_vals[j][b],
+                                   item.order_by[j].descending, nf);
+            if (c != 0) return c < 0;
+          }
+          return false;
+        });
+      }
+      auto peers_equal = [&](size_t a, size_t b) {
+        for (const auto& vals : order_vals) {
+          if (!Datum::GroupEquals(vals[idxs[a]], vals[idxs[b]])) return false;
+        }
+        return true;
+      };
+
+      if (item.func == "ROW_NUMBER") {
+        for (size_t k = 0; k < idxs.size(); ++k) {
+          results[idxs[k]] = Datum::Int(static_cast<int64_t>(k) + 1);
+        }
+      } else if (item.func == "RANK" || item.func == "DENSE_RANK") {
+        int64_t rank = 0, dense = 0;
+        for (size_t k = 0; k < idxs.size(); ++k) {
+          if (k == 0 || !peers_equal(k, k - 1)) {
+            rank = static_cast<int64_t>(k) + 1;
+            ++dense;
+          }
+          results[idxs[k]] = Datum::Int(item.func == "RANK" ? rank : dense);
+        }
+      } else {
+        // Aggregate window function: the whole partition without ORDER BY,
+        // else a running aggregate over peer groups (RANGE UNBOUNDED
+        // PRECEDING).
+        Accumulator acc(item.func, false);
+        size_t k = 0;
+        while (k < idxs.size()) {
+          size_t peer_end = item.order_by.empty() ? idxs.size() : k;
+          while (peer_end < idxs.size() && peers_equal(peer_end, k)) {
+            ++peer_end;
+          }
+          for (size_t j = k; j < peer_end; ++j) {
+            HQ_RETURN_IF_ERROR(add(acc, idxs[j]));
+          }
+          Datum v = acc.Finish();
+          for (size_t j = k; j < peer_end; ++j) results[idxs[j]] = v;
+          k = peer_end;
+        }
+      }
+    }
+    auto col = std::make_shared<ColumnVec>(PhysKindFor(item.type));
+    col->Reserve(n);
+    for (const Datum& d : results) AppendOrDemote(&col, d);
+    layout[item.out_id] = static_cast<int>(batch->columns.size());
+    batch->columns.push_back(std::move(col));
+  }
+  Relation rel;
+  rel.cols = op.output;
+  rel.BuildLayout();
+  rel.chunks.push_back(std::move(batch));
   return rel;
 }
 
-Result<Relation> Executor::AggregateVec(const Op& op, Relation child) {
+Result<Relation> Executor::ExecAggregate(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
   Relation rel;
   rel.cols = op.output;
   rel.BuildLayout();
@@ -831,35 +1028,64 @@ Result<Relation> Executor::AggregateVec(const Op& op, Relation child) {
     }
   }
 
+  std::vector<SqlType> types;
+  types.reserve(op.output.size());
+  for (const auto& c : op.output) types.push_back(c.type);
+  BatchBuilder out(types);
+  Row row;
   if (groups.empty() && op.group_by.empty()) {
     // Global aggregate over empty input: one row of neutral values.
-    Row out;
     for (const auto& a : op.aggregates) {
-      out.push_back(a.func == "COUNT" ? Datum::Int(0) : Datum::Null());
+      row.push_back(a.func == "COUNT" ? Datum::Int(0) : Datum::Null());
     }
-    rel.rows.push_back(std::move(out));
-    return rel;
+    HQ_RETURN_IF_ERROR(out.AppendRow(row));
   }
-
+  out.Reserve(group_order.size());
   for (const Row* key : group_order) {
-    auto& state = groups.find(*key)->second;
-    Row out;
-    out.reserve(op.output.size());
-    for (const Datum& k : state.key) out.push_back(k);
-    for (const auto& acc : state.accs) out.push_back(acc.Finish());
-    rel.rows.push_back(std::move(out));
+    const GroupState& state = groups.find(*key)->second;
+    row = state.key;
+    for (const auto& acc : state.accs) row.push_back(acc.Finish());
+    HQ_RETURN_IF_ERROR(out.AppendRow(row));
   }
+  if (out.rows() > 0) rel.chunks.push_back(out.Finish());
   return rel;
 }
 
-Result<Relation> Executor::JoinVec(
-    const Op& op, Relation left, Relation right,
-    const std::vector<const Expr*>& left_keys,
-    const std::vector<const Expr*>& right_keys) {
-  Relation rel;
-  rel.cols = op.output;
-  rel.BuildLayout();
-  rel.columnar = true;
+Result<Relation> Executor::ExecJoin(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation left, Exec(*op.children[0]));
+  HQ_ASSIGN_OR_RETURN(Relation right, Exec(*op.children[1]));
+
+  // Hash-join keys: equi-conjuncts whose sides bind entirely to one input
+  // each. Without keys every pair is a candidate (cross and non-equi
+  // joins).
+  const Expr* predicate =
+      op.join_kind == xtra::JoinKind::kCross ? nullptr : op.predicate.get();
+  std::vector<const Expr*> conjuncts, left_keys, right_keys;
+  if (predicate != nullptr) exec::SplitConjuncts(predicate, &conjuncts);
+  for (const Expr* c : conjuncts) {
+    if (c->kind != ExprKind::kComp || c->comp != xtra::CompKind::kEq) {
+      continue;
+    }
+    for (int side = 0; side < 2; ++side) {
+      const Expr& a = *c->children[side];
+      const Expr& b = *c->children[1 - side];
+      bool a_ref = false, b_ref = false;
+      bool a_left = exec::ExprRefsOnly(
+          a, [&](int id) { return left.layout.count(id) > 0; }, &a_ref);
+      bool b_right = exec::ExprRefsOnly(
+          b, [&](int id) { return right.layout.count(id) > 0; }, &b_ref);
+      if (a_left && b_right && a_ref && b_ref) {
+        left_keys.push_back(&a);
+        right_keys.push_back(&b);
+        break;
+      }
+    }
+  }
+  // Unless the predicate is exactly the extracted equi-conjuncts, every
+  // candidate pair is rechecked against the full predicate.
+  const bool need_recheck =
+      predicate != nullptr && conjuncts.size() != left_keys.size();
+  const bool keyed = !left_keys.empty();
 
   std::shared_ptr<const ColumnBatch> lbatch = left.SingleChunk();
   std::shared_ptr<const ColumnBatch> rbatch = right.SingleChunk();
@@ -884,24 +1110,6 @@ Result<Relation> Executor::JoinVec(
     rkeys.push_back(MakeSide(rkey_vals.back()));
   }
 
-  // Does the predicate consist solely of the extracted equi-conjuncts? If
-  // not, every candidate pair is rechecked against the full predicate on a
-  // combined scratch row (same as the row path).
-  size_t conjunct_count = 0;
-  {
-    std::vector<const Expr*> conjuncts;
-    std::function<void(const Expr*)> split = [&](const Expr* e) {
-      if (e->kind == ExprKind::kBool && e->boolk == xtra::BoolKind::kAnd) {
-        for (const auto& c : e->children) split(c.get());
-        return;
-      }
-      conjuncts.push_back(e);
-    };
-    split(op.predicate.get());
-    conjunct_count = conjuncts.size();
-  }
-  bool need_recheck = conjunct_count != left_keys.size();
-
   std::map<int, int> combined = left.layout;
   for (const auto& [id, idx] : right.layout) {
     combined[id] = idx + static_cast<int>(left.cols.size());
@@ -915,9 +1123,7 @@ Result<Relation> Executor::JoinVec(
                   lkeys[0].kind == PhysKind::kI64 &&
                   rkeys[0].kind == PhysKind::kI64;
   std::unordered_map<int64_t, std::vector<uint32_t>> i64_table;
-  std::unordered_map<std::vector<Datum>, std::vector<uint32_t>, VecHashT,
-                     VecEqT>
-      table;
+  std::unordered_map<Row, std::vector<uint32_t>, RowHash, RowEq> table;
   if (i64_fast) {
     i64_table.reserve(rn);
     for (size_t ri = 0; ri < rn; ++ri) {
@@ -925,9 +1131,9 @@ Result<Relation> Executor::JoinVec(
         i64_table[rkeys[0].I64At(ri)].push_back(static_cast<uint32_t>(ri));
       }
     }
-  } else {
+  } else if (keyed) {
     table.reserve(rn);
-    std::vector<Datum> key(rkeys.size());
+    Row key(rkeys.size());
     for (size_t ri = 0; ri < rn; ++ri) {
       bool null_key = false;
       for (size_t k = 0; k < rkeys.size(); ++k) {
@@ -944,19 +1150,56 @@ Result<Relation> Executor::JoinVec(
                           op.join_kind == xtra::JoinKind::kFull;
   std::vector<bool> right_matched(rn, false);
 
-  std::vector<uint32_t> li_idx, ri_idx;
-  Row scratch;
-  std::vector<Datum> key(lkeys.size());
-  Row lrow, rrow;
+  // Candidate pairs are collected per block of left rows, rechecked in one
+  // batch, then emitted in left-row order with outer-join padding.
+  std::vector<uint32_t> cand_l, cand_r, li_idx, ri_idx;
+  std::vector<uint8_t> keep;
+  size_t block_begin = 0;
+  auto flush = [&](size_t block_end) -> Status {
+    keep.assign(cand_l.size(), need_recheck ? 0 : 1);
+    if (need_recheck && !cand_l.empty()) {
+      ColumnBatch pairs;
+      pairs.rows = cand_l.size();
+      for (const auto& col : lbatch->columns) {
+        pairs.columns.push_back(GatherColumn(*col, cand_l));
+      }
+      for (const auto& col : rbatch->columns) {
+        pairs.columns.push_back(GatherColumn(*col, cand_r));
+      }
+      HQ_ASSIGN_OR_RETURN(std::vector<uint32_t> kept,
+                          SelectRows(*predicate, pairs, combined));
+      for (uint32_t c : kept) keep[c] = 1;
+    }
+    size_t c = 0;
+    for (size_t li = block_begin; li < block_end; ++li) {
+      bool matched = false;
+      for (; c < cand_l.size() && cand_l[c] == li; ++c) {
+        if (!keep[c]) continue;
+        matched = true;
+        if (need_right_match) right_matched[cand_r[c]] = true;
+        li_idx.push_back(static_cast<uint32_t>(li));
+        ri_idx.push_back(cand_r[c]);
+      }
+      if (!matched && pad_left) {
+        li_idx.push_back(static_cast<uint32_t>(li));
+        ri_idx.push_back(kNullRow);
+      }
+    }
+    cand_l.clear();
+    cand_r.clear();
+    block_begin = block_end;
+    return Status::OK();
+  };
+
+  Row key(lkeys.size());
   for (size_t li = 0; li < ln; ++li) {
-    bool matched = false;
     const std::vector<uint32_t>* hits = nullptr;
     if (i64_fast) {
       if (!lkeys[0].IsNullAt(li)) {
         auto it = i64_table.find(lkeys[0].I64At(li));
         if (it != i64_table.end()) hits = &it->second;
       }
-    } else {
+    } else if (keyed) {
       bool null_key = false;
       for (size_t k = 0; k < lkeys.size(); ++k) {
         key[k] = lkeys[k].At(li);
@@ -967,32 +1210,17 @@ Result<Relation> Executor::JoinVec(
         if (bucket != table.end()) hits = &bucket->second;
       }
     }
-    if (hits) {
-      for (uint32_t ri : *hits) {
-        bool keep = true;
-        if (need_recheck) {
-          lbatch->FillRow(li, &lrow);
-          rbatch->FillRow(ri, &rrow);
-          scratch.clear();
-          scratch.reserve(lrow.size() + rrow.size());
-          scratch.insert(scratch.end(), lrow.begin(), lrow.end());
-          scratch.insert(scratch.end(), rrow.begin(), rrow.end());
-          HQ_ASSIGN_OR_RETURN(
-              keep, EvalPredicate(*op.predicate, combined, scratch));
-        }
-        if (keep) {
-          matched = true;
-          if (need_right_match) right_matched[ri] = true;
-          li_idx.push_back(static_cast<uint32_t>(li));
-          ri_idx.push_back(ri);
-        }
+    if (hits != nullptr) {
+      cand_r.insert(cand_r.end(), hits->begin(), hits->end());
+    } else if (!keyed) {
+      for (size_t ri = 0; ri < rn; ++ri) {
+        cand_r.push_back(static_cast<uint32_t>(ri));
       }
     }
-    if (!matched && pad_left) {
-      li_idx.push_back(static_cast<uint32_t>(li));
-      ri_idx.push_back(kNullRow);
-    }
+    cand_l.resize(cand_r.size(), static_cast<uint32_t>(li));
+    if (cand_l.size() >= kJoinPairBlock) HQ_RETURN_IF_ERROR(flush(li + 1));
   }
+  HQ_RETURN_IF_ERROR(flush(ln));
   if (need_right_match) {
     for (size_t ri = 0; ri < rn; ++ri) {
       if (!right_matched[ri]) {
@@ -1011,11 +1239,62 @@ Result<Relation> Executor::JoinVec(
   for (const auto& col : rbatch->columns) {
     out->columns.push_back(GatherColumn(*col, ri_idx));
   }
+  Relation rel;
+  rel.cols = op.output;
+  rel.BuildLayout();
   rel.chunks.push_back(std::move(out));
   return rel;
 }
 
-Result<Relation> Executor::SortVec(const Op& op, Relation child) {
+Result<Relation> Executor::ExecSetOp(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation left, Exec(*op.children[0]));
+  HQ_ASSIGN_OR_RETURN(Relation right, Exec(*op.children[1]));
+  if (left.cols.size() != right.cols.size()) {
+    return Status::ExecutionError("set operation column count mismatch");
+  }
+  Relation rel;
+  rel.cols = op.output;
+  rel.BuildLayout();
+  // Set semantics compare rows with GroupEquals (NULLs are equal).
+  using RowSet = std::unordered_set<Row, RowHash, RowEq>;
+  RowSet seen;
+  auto first_seen = [&](const Row& r) { return seen.insert(r).second; };
+  RowSet right_set;
+  if (op.setop_kind == xtra::SetOpKind::kIntersect ||
+      op.setop_kind == xtra::SetOpKind::kExcept) {
+    for (const auto& chunk : right.chunks) {
+      for (size_t r = 0; r < chunk->rows; ++r) {
+        right_set.insert(chunk->RowAt(r));
+      }
+    }
+  }
+  switch (op.setop_kind) {
+    case xtra::SetOpKind::kUnionAll:
+      rel.chunks = std::move(left.chunks);
+      for (auto& c : right.chunks) rel.chunks.push_back(std::move(c));
+      break;
+    case xtra::SetOpKind::kUnion:
+      KeepRows(left, first_seen, &rel);
+      KeepRows(right, first_seen, &rel);
+      break;
+    case xtra::SetOpKind::kIntersect:
+      KeepRows(
+          left,
+          [&](const Row& r) { return right_set.count(r) && first_seen(r); },
+          &rel);
+      break;
+    case xtra::SetOpKind::kExcept:
+      KeepRows(
+          left,
+          [&](const Row& r) { return !right_set.count(r) && first_seen(r); },
+          &rel);
+      break;
+  }
+  return rel;
+}
+
+Result<Relation> Executor::ExecSort(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
   std::shared_ptr<const ColumnBatch> batch = child.SingleChunk();
   const size_t n = batch->rows;
   VecCtx ctx;
@@ -1043,9 +1322,9 @@ Result<Relation> Executor::SortVec(const Op& op, Relation child) {
   });
 
   Relation rel;
-  rel.cols = child.cols;
-  rel.layout = child.layout;
-  rel.columnar = true;
+  rel.cols = std::move(child.cols);
+  rel.layout = std::move(child.layout);
+  if (n == 0) return rel;
   bool already_sorted = true;
   for (size_t r = 0; r < n; ++r) {
     if (idx[r] != r) {
@@ -1061,7 +1340,8 @@ Result<Relation> Executor::SortVec(const Op& op, Relation child) {
   return rel;
 }
 
-Result<Relation> Executor::LimitVec(const Op& op, Relation child) {
+Result<Relation> Executor::ExecLimit(const Op& op) {
+  HQ_ASSIGN_OR_RETURN(Relation child, Exec(*op.children[0]));
   if (op.limit_count < 0 ||
       child.RowCount() <= static_cast<size_t>(op.limit_count)) {
     return child;
@@ -1069,7 +1349,6 @@ Result<Relation> Executor::LimitVec(const Op& op, Relation child) {
   Relation rel;
   rel.cols = std::move(child.cols);
   rel.layout = std::move(child.layout);
-  rel.columnar = true;
   size_t remaining = static_cast<size_t>(op.limit_count);
   for (const auto& chunk : child.chunks) {
     if (remaining == 0) break;

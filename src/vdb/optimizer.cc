@@ -272,25 +272,73 @@ OpPtr NormalizeSelectOverJoin(OpPtr select) {
   return current;
 }
 
+// Inside a subplan, a filter whose conjuncts hold subqueries becomes a
+// cascade: the other conjuncts first, as one filter (keeping an indexed
+// Select-over-Get intact), then each subquery conjunct in order as its own
+// filter. A subquery is then evaluated only for the rows the earlier
+// filters kept, as a short-circuiting row-at-a-time AND would, instead of
+// for every row of a vectorized AND. (Top-level filters keep the
+// vectorized AND.)
+OpPtr CascadeSubqueryConjuncts(OpPtr select) {
+  std::vector<ExprPtr> conjuncts, plain;
+  SplitAnd(std::move(select->predicate), &conjuncts);
+  for (auto& c : conjuncts) {
+    if (!HasSubquery(*c)) plain.push_back(std::move(c));
+  }
+  OpPtr current = std::move(select->children[0]);
+  if (!plain.empty()) {
+    current = xtra::Select(std::move(current), xtra::Conjoin(std::move(plain)));
+  }
+  for (auto& c : conjuncts) {
+    if (c) current = xtra::Select(std::move(current), std::move(c));
+  }
+  current->output = std::move(select->output);
+  return current;
+}
+
 bool IsCrossTree(const Op& op) {
   if (op.kind != OpKind::kJoin) return false;
   if (op.join_kind != xtra::JoinKind::kCross) return false;
   return true;
 }
 
-void OptimizeInPlace(OpPtr* op) {
-  for (auto& child : (*op)->children) OptimizeInPlace(&child);
+// Counts the conjuncts of `e` and notes whether any holds a subquery.
+void ScanConjuncts(const Expr& e, size_t* count, bool* subquery) {
+  if (e.kind == ExprKind::kBool && e.boolk == xtra::BoolKind::kAnd) {
+    for (const auto& c : e.children) ScanConjuncts(*c, count, subquery);
+    return;
+  }
+  ++*count;
+  *subquery = *subquery || HasSubquery(e);
+}
+
+bool NeedsCascade(const Op& select) {
+  size_t count = 0;
+  bool subquery = false;
+  ScanConjuncts(*select.predicate, &count, &subquery);
+  return subquery && count > 1;
+}
+
+void OptimizeInPlace(OpPtr* op, bool in_subplan) {
+  for (auto& child : (*op)->children) OptimizeInPlace(&child, in_subplan);
   transform::MutateExprs(op->get(), [&](ExprPtr* e) {
-    if ((*e)->subplan) OptimizeInPlace(&(*e)->subplan);
+    if ((*e)->subplan) OptimizeInPlace(&(*e)->subplan, /*in_subplan=*/true);
   });
   if ((*op)->kind == OpKind::kSelect && !(*op)->post_window_filter &&
       (*op)->predicate != nullptr && IsCrossTree(*(*op)->children[0])) {
     *op = NormalizeSelectOverJoin(std::move(*op));
   }
+  if (in_subplan && (*op)->kind == OpKind::kSelect &&
+      !(*op)->post_window_filter && (*op)->predicate != nullptr &&
+      NeedsCascade(**op)) {
+    *op = CascadeSubqueryConjuncts(std::move(*op));
+  }
 }
 
 }  // namespace
 
-void OptimizePlan(OpPtr* plan) { OptimizeInPlace(plan); }
+void OptimizePlan(OpPtr* plan) {
+  OptimizeInPlace(plan, /*in_subplan=*/false);
+}
 
 }  // namespace hyperq::vdb

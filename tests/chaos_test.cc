@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -274,6 +275,54 @@ TEST_F(ChaosTest, RecvPartitionStallsThenTimesOut) {
   EXPECT_GT(net.stats().partition_drops, 0);
   client.HardClose();
   server.Stop();
+}
+
+// A peer that accepts and never replies is what the client sees when a
+// request frame is corrupted into a stray abort (the server drops an abort
+// with nothing in flight unanswered). Every session must give up at its
+// read deadline, so the workload returns, and each failure is typed.
+TEST_F(ChaosTest, WorkloadAgainstSilentServerReturnsWithTypedDeadlines) {
+  auto listener = protocol::ListenSocket::BindLocal(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  std::mutex held_mu;
+  std::vector<Socket> held;  // accepted, never read, never answered
+  std::atomic<bool> stop{false};
+  std::thread acceptor([&] {
+    while (!stop.load()) {
+      auto conn = listener->Accept();
+      if (!conn.ok()) break;
+      std::lock_guard<std::mutex> lock(held_mu);
+      held.push_back(std::move(conn).value());
+    }
+  });
+
+  ClientLedger ledger;
+  chaos::WorkloadOptions w;
+  w.port = listener->port();
+  w.sessions = 2;
+  w.duration_ms = 200;
+  w.max_attempts = 2;
+  auto start = std::chrono::steady_clock::now();
+  chaos::WorkloadReport report = ChaosWorkload::Run(w, &ledger);
+  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  stop.store(true);
+  listener->Interrupt();
+  acceptor.join();
+
+  // One query per session: each attempt waits one deadline for the logon
+  // reply, then the run is over.
+  EXPECT_LT(elapsed_ms, w.duration_ms * (1 + w.max_attempts) + 2000);
+  EXPECT_GT(report.issued, 0);
+  EXPECT_EQ(report.delivered, 0);
+  for (const auto& e : ledger.Entries()) {
+    EXPECT_TRUE(e.finished);
+    ASSERT_FALSE(e.error_codes.empty()) << "query " << e.id;
+    for (int code : e.error_codes) {
+      EXPECT_EQ(code, static_cast<int>(StatusCode::kDeadlineExceeded));
+    }
+  }
 }
 
 // --- Slowloris guard ---------------------------------------------------------

@@ -115,6 +115,61 @@ TEST(FuzzSmokeTest, FixedSeed500QueriesZeroMismatches) {
   // query must survive translation AND execution on every dialect.
   EXPECT_GE(s.translated, 475) << s.ToJson();
   EXPECT_GE(s.executed, 475) << s.ToJson();
+  // TLP is on: every query without grouping, TOP or a set operation had
+  // its WHERE p / NOT p / p IS UNKNOWN partitions compared.
+  EXPECT_GE(s.tlp_checked, 200) << s.ToJson();
+}
+
+// Ternary Logic Partitioning on a hand-built LEFT JOIN whose predicate is
+// UNKNOWN on the padded rows: the three partitions add up on every dialect,
+// with and without DISTINCT; a grouped query is not partitioned.
+TEST(TlpTest, PartitionsAddUpOnEveryDialect) {
+  fuzz::HarnessOptions hopts;
+  hopts.dialects = serializer::DialectNames();
+  fuzz::DifferentialHarness harness(hopts);
+  fuzz::QuerySpec spec;
+  spec.table = "FZ_T0";
+  spec.alias = "A0";
+  spec.joins.push_back({"LEFT JOIN", "FZ_T1", "A1", "A0.ID = A1.REF"});
+  spec.select_items = {"A0.GRP", "A1.NAME"};
+  const std::string p = "(A1.PRICE > 20.00)";
+  auto plain = harness.RunTlp(spec, p);
+  EXPECT_EQ(plain.cls, fuzz::OutcomeClass::kOk) << plain.detail;
+  EXPECT_TRUE(plain.tlp_checked);
+  spec.distinct = true;
+  auto distinct = harness.RunTlp(spec, p);
+  EXPECT_EQ(distinct.cls, fuzz::OutcomeClass::kOk) << distinct.detail;
+  EXPECT_TRUE(distinct.tlp_checked);
+  spec.distinct = false;
+  spec.group_by = {"A0.GRP"};
+  spec.select_items = {"A0.GRP", "COUNT(*)"};
+  EXPECT_FALSE(fuzz::TlpApplies(spec));
+  EXPECT_FALSE(harness.RunTlp(spec, p).tlp_checked);
+}
+
+// A planted engine-side three-valued-logic bug that every dialect shares
+// (NOT dropped from the SQL-B) is invisible to the cross-dialect
+// comparison but breaks the partitioning.
+TEST(TlpTest, SharedNegationBugIsATlpMismatch) {
+  fuzz::HarnessOptions hopts;
+  hopts.dialects = serializer::DialectNames();
+  hopts.sql_b_override = [](const std::string&, const std::string& sql_b) {
+    std::string out = sql_b;
+    for (size_t at = out.find("NOT ("); at != std::string::npos;
+         at = out.find("NOT (", at)) {
+      out.erase(at, 4);
+    }
+    return out;
+  };
+  fuzz::DifferentialHarness harness(hopts);
+  fuzz::QuerySpec spec;
+  spec.table = "FZ_T0";
+  spec.alias = "A0";
+  spec.select_items = {"A0.ID"};
+  auto out = harness.RunTlp(spec, "(A0.QTY > 3)");
+  EXPECT_EQ(out.cls, fuzz::OutcomeClass::kTlpMismatch) << out.detail;
+  EXPECT_TRUE(out.IsFinding());
+  EXPECT_NE(out.detail.find("A0.QTY > 3"), std::string::npos) << out.detail;
 }
 
 // A hand-built wide query with a mismatch planted into one dialect's SQL-B

@@ -152,6 +152,23 @@ TEST_F(VdbTest, SetOperations) {
             1u);
 }
 
+// UNION ALL keeps each operand's chunks, so one column can arrive in
+// different physical kinds; sorting concatenates them.
+TEST_F(VdbTest, UnionAllOfMixedTypesSorts) {
+  Must("CREATE TABLE x (i INTEGER)");
+  Must("CREATE TABLE d (v DECIMAL(6,2))");
+  Must("INSERT INTO x VALUES (2), (NULL), (1)");
+  Must("INSERT INTO d VALUES (1.50)");
+  auto r = Must(
+      "SELECT w FROM (SELECT i AS w FROM x UNION ALL SELECT v AS w FROM d) q "
+      "ORDER BY w");
+  ASSERT_EQ(r.rows.size(), 4u);
+  EXPECT_EQ(r.rows[0][0].ToString(), "1");
+  EXPECT_EQ(r.rows[1][0].ToString(), "1.50");
+  EXPECT_EQ(r.rows[2][0].ToString(), "2");
+  EXPECT_TRUE(r.rows[3][0].is_null());
+}
+
 TEST_F(VdbTest, OrderByNullsPlacement) {
   Must("CREATE TABLE t (a INTEGER)");
   Must("INSERT INTO t VALUES (2), (NULL), (1)");
@@ -212,10 +229,193 @@ TEST_F(VdbTest, CorrelatedSubqueries) {
             2u);
 }
 
+// Aggregate output is a batch like any other operator's: sorting, joining
+// and windowing over a GROUP BY must see the grouped rows.
+TEST_F(VdbTest, GroupedOutputFeedsSortJoinAndWindow) {
+  Must("CREATE TABLE s (g INTEGER, v INTEGER)");
+  Must("CREATE TABLE names (g INTEGER, name VARCHAR(8))");
+  Must("INSERT INTO s VALUES (1, 5), (1, 7), (2, 1), (3, 4), (3, 4), "
+       "(NULL, 9)");
+  Must("INSERT INTO names VALUES (1, 'one'), (2, 'two'), (3, 'three')");
+  auto sorted = Must(
+      "SELECT g, SUM(v) AS total FROM s GROUP BY g ORDER BY total DESC");
+  ASSERT_EQ(sorted.rows.size(), 4u);
+  EXPECT_EQ(sorted.rows[0][1].int_val(), 12);
+  EXPECT_TRUE(sorted.rows[1][0].is_null());
+  EXPECT_EQ(sorted.rows[2][0].int_val(), 3);
+  EXPECT_EQ(sorted.rows[3][1].int_val(), 1);
+
+  auto joined = Must(
+      "SELECT n.name, a.total FROM (SELECT g, SUM(v) AS total FROM s "
+      "GROUP BY g) a JOIN names n ON a.g = n.g ORDER BY n.name");
+  ASSERT_EQ(joined.rows.size(), 3u);
+  EXPECT_EQ(joined.rows[0][0].string_val(), "one");
+  EXPECT_EQ(joined.rows[0][1].int_val(), 12);
+  EXPECT_EQ(joined.rows[1][0].string_val(), "three");
+  EXPECT_EQ(joined.rows[1][1].int_val(), 8);
+  EXPECT_EQ(joined.rows[2][1].int_val(), 1);
+
+  auto windowed = Must(
+      "SELECT g, total, RANK() OVER (ORDER BY total DESC) AS rnk FROM "
+      "(SELECT g, SUM(v) AS total FROM s GROUP BY g) a "
+      "ORDER BY g NULLS FIRST");
+  ASSERT_EQ(windowed.rows.size(), 4u);
+  EXPECT_TRUE(windowed.rows[0][0].is_null());
+  EXPECT_EQ(windowed.rows[0][2].int_val(), 2);  // total 9
+  EXPECT_EQ(windowed.rows[1][2].int_val(), 1);  // g 1, total 12
+  EXPECT_EQ(windowed.rows[2][2].int_val(), 4);  // g 2, total 1
+  EXPECT_EQ(windowed.rows[3][2].int_val(), 3);  // g 3, total 8
+}
+
+// Correlated subplans run on the same batch operators as top-level plans,
+// with outer references broadcast as constants per outer row.
+class VdbCorrelatedTest : public VdbTest {
+ protected:
+  void SetUp() override {
+    Must("CREATE TABLE o (id INTEGER, g INTEGER)");
+    Must("CREATE TABLE i (g INTEGER, v INTEGER)");
+    Must("INSERT INTO o VALUES (1, 1), (2, 2), (3, 3), (4, NULL)");
+    Must("INSERT INTO i VALUES (1, 10), (1, 10), (1, 20), (2, 5), (3, 7), "
+         "(3, 7)");
+  }
+
+  // Renders column 1 of an `id, value` result ordered by id.
+  std::string Column1(const std::string& sql) {
+    std::string out;
+    for (const auto& row : Must(sql).rows) {
+      if (!out.empty()) out += ',';
+      out += row[1].ToString();
+    }
+    return out;
+  }
+};
+
+TEST_F(VdbCorrelatedTest, SubplanWithDistinct) {
+  EXPECT_EQ(Column1("SELECT id, (SELECT DISTINCT v FROM i WHERE i.g = o.g "
+                    "AND i.v < 15) AS x FROM o ORDER BY id"),
+            "10,5,7,NULL");
+}
+
+TEST_F(VdbCorrelatedTest, SubplanWithNonEquiJoin) {
+  EXPECT_EQ(Column1("SELECT id, (SELECT COUNT(*) FROM i a JOIN i b "
+                    "ON a.v < b.v WHERE a.g = o.g AND b.g = o.g) AS n "
+                    "FROM o ORDER BY id"),
+            "2,0,0,0");
+}
+
+TEST_F(VdbCorrelatedTest, SubplanWithIntersectAndExcept) {
+  auto intersect = Must(
+      "SELECT id FROM o WHERE EXISTS (SELECT v FROM i WHERE i.g = o.g "
+      "INTERSECT SELECT v FROM i WHERE i.v < 10) ORDER BY id");
+  ASSERT_EQ(intersect.rows.size(), 2u);
+  EXPECT_EQ(intersect.rows[0][0].int_val(), 2);
+  EXPECT_EQ(intersect.rows[1][0].int_val(), 3);
+  auto except = Must(
+      "SELECT id FROM o WHERE EXISTS (SELECT v FROM i WHERE i.g = o.g "
+      "EXCEPT SELECT v FROM i WHERE i.v < 10) ORDER BY id");
+  ASSERT_EQ(except.rows.size(), 1u);
+  EXPECT_EQ(except.rows[0][0].int_val(), 1);
+}
+
+TEST_F(VdbCorrelatedTest, SubplanWithGroupBy) {
+  EXPECT_EQ(Column1("SELECT id, (SELECT SUM(v) FROM i WHERE i.g = o.g "
+                    "GROUP BY i.g) AS s FROM o ORDER BY id"),
+            "40,5,14,NULL");
+}
+
+TEST_F(VdbCorrelatedTest, SubplanWithOrderByAndLimit) {
+  EXPECT_EQ(Column1("SELECT id, (SELECT v FROM i WHERE i.g = o.g "
+                    "ORDER BY v DESC LIMIT 1) AS top_v FROM o ORDER BY id"),
+            "20,5,7,NULL");
+}
+
+TEST_F(VdbCorrelatedTest, ScalarCardinalityErrorUnderCorrelation) {
+  // Group 1 has three rows, so the per-row subplan must fail the query.
+  Status s = Fails("SELECT id, (SELECT v FROM i WHERE i.g = o.g) FROM o");
+  EXPECT_NE(s.message().find("more than one row"), std::string::npos) << s;
+}
+
+// The Q18 shape: an uncorrelated IN whose subplan is a grouped aggregate.
+TEST_F(VdbCorrelatedTest, UncorrelatedInOverAggregate) {
+  auto in = Must(
+      "SELECT id FROM o WHERE g IN (SELECT g FROM i GROUP BY g "
+      "HAVING SUM(v) > 10) ORDER BY id");
+  ASSERT_EQ(in.rows.size(), 2u);
+  EXPECT_EQ(in.rows[0][0].int_val(), 1);
+  EXPECT_EQ(in.rows[1][0].int_val(), 3);
+  // NOT IN: the NULL-keyed outer row is UNKNOWN, not true.
+  auto not_in = Must(
+      "SELECT id FROM o WHERE g NOT IN (SELECT g FROM i GROUP BY g "
+      "HAVING SUM(v) > 10) ORDER BY id");
+  ASSERT_EQ(not_in.rows.size(), 1u);
+  EXPECT_EQ(not_in.rows[0][0].int_val(), 2);
+}
+
+TEST_F(VdbCorrelatedTest, InsertSelectFromAggregate) {
+  Must("CREATE TABLE agg (g INTEGER, total INTEGER, n INTEGER)");
+  EXPECT_EQ(Must("INSERT INTO agg SELECT g, SUM(v), COUNT(*) FROM i "
+                 "GROUP BY g")
+                .affected_rows,
+            3);
+  // A global aggregate over no rows still inserts its one neutral row.
+  EXPECT_EQ(Must("INSERT INTO agg SELECT MAX(g), SUM(v), COUNT(*) FROM i "
+                 "WHERE v > 100")
+                .affected_rows,
+            1);
+  auto r = Must("SELECT g, total, n FROM agg ORDER BY g");
+  ASSERT_EQ(r.rows.size(), 4u);
+  EXPECT_EQ(r.rows[0][1].int_val(), 40);
+  EXPECT_EQ(r.rows[0][2].int_val(), 3);
+  EXPECT_EQ(r.rows[2][1].int_val(), 14);
+  EXPECT_TRUE(r.rows[3][0].is_null());
+  EXPECT_TRUE(r.rows[3][1].is_null());
+  EXPECT_EQ(r.rows[3][2].int_val(), 0);
+}
+
 TEST_F(VdbTest, ScalarSubqueryCardinalityError) {
   Must("CREATE TABLE t (a INTEGER)");
   Must("INSERT INTO t VALUES (1), (2)");
   Fails("SELECT (SELECT a FROM t) FROM t");
+}
+
+TEST_F(VdbTest, InSubqueryOverEmptySetIsFalseEvenForNull) {
+  Must("CREATE TABLE t (a INTEGER)");
+  Must("CREATE TABLE u (b INTEGER)");
+  Must("INSERT INTO t VALUES (1), (NULL)");
+  Must("INSERT INTO u VALUES (1)");
+  // The correlated subplan is empty for every row (b < NULL is UNKNOWN for
+  // the NULL row), and x IN (empty) is false, so NOT IN keeps both rows.
+  EXPECT_EQ(Must("SELECT a FROM t WHERE a NOT IN (SELECT b FROM u "
+                 "WHERE b < t.a)")
+                .rows.size(),
+            2u);
+  EXPECT_EQ(Must("SELECT a FROM t WHERE a IN (SELECT b FROM u WHERE b > 5)")
+                .rows.size(),
+            0u);
+  EXPECT_EQ(Must("SELECT a FROM t WHERE a NOT IN (SELECT b FROM u "
+                 "WHERE b > 5)")
+                .rows.size(),
+            2u);
+  // A non-empty set keeps NULL IN (...) UNKNOWN.
+  EXPECT_EQ(Must("SELECT a FROM t WHERE a NOT IN (SELECT b FROM u)")
+                .rows.size(),
+            0u);
+}
+
+// Strings compare blank-padded everywhere, including an IN over a subquery
+// (whose exact-match index must agree with `=`).
+TEST_F(VdbTest, InSubqueryStringsCompareBlankPadded) {
+  Must("CREATE TABLE t (a VARCHAR(5))");
+  Must("CREATE TABLE u (c VARCHAR(5))");
+  Must("INSERT INTO t VALUES ('ab')");
+  Must("INSERT INTO u VALUES ('ab  ')");
+  EXPECT_EQ(Must("SELECT a FROM t WHERE a = (SELECT c FROM u)").rows.size(),
+            1u);
+  EXPECT_EQ(Must("SELECT a FROM t WHERE a IN (SELECT c FROM u)").rows.size(),
+            1u);
+  EXPECT_EQ(Must("SELECT a FROM t WHERE a NOT IN (SELECT c FROM u)")
+                .rows.size(),
+            0u);
 }
 
 TEST_F(VdbTest, InListNullSemantics) {
@@ -314,6 +514,29 @@ TEST_F(VdbTest, InsertSelectAndSelfRead) {
   auto r = Must("INSERT INTO t SELECT a + 10 FROM t");
   EXPECT_EQ(r.affected_rows, 2);
   EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].int_val(), 4);
+}
+
+// A subquery over the DML target table sees the statement's starting
+// state, even when it first runs after earlier rows were decided.
+TEST_F(VdbTest, DmlSubqueriesSeeStatementStartState) {
+  Must("CREATE TABLE t (a INTEGER, b INTEGER)");
+  Must("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)");
+  // Row 1 fails `a > 1`, so the subquery first runs for row 2.
+  EXPECT_EQ(Must("DELETE FROM t WHERE a > 1 AND b < (SELECT MAX(t2.b) "
+                 "FROM t t2 WHERE t2.a > t.a)")
+                .affected_rows,
+            1);
+  Must("INSERT INTO t VALUES (4, 5)");
+  // Row 1 is rewritten before the subquery first runs for row 3.
+  EXPECT_EQ(Must("UPDATE t SET b = CASE WHEN a = 1 THEN 99 ELSE "
+                 "(SELECT MAX(t2.b) FROM t t2 WHERE t2.a < t.a) END")
+                .affected_rows,
+            3);
+  auto r = Must("SELECT a, b FROM t ORDER BY a");
+  ASSERT_EQ(r.rows.size(), 3u);
+  EXPECT_EQ(r.rows[0][1].int_val(), 99);
+  EXPECT_EQ(r.rows[1][1].int_val(), 10);  // MAX over a < 3 before the update
+  EXPECT_EQ(r.rows[2][1].int_val(), 30);  // MAX over a < 4 before the update
 }
 
 TEST_F(VdbTest, RecursionRejectedNatively) {
