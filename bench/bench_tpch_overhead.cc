@@ -266,7 +266,7 @@ OverheadSums RunOverheadStudy(double sf) {
               "execute(us)", "convert(us)", "total(us)", "rows");
 
   double sum_translate = 0, sum_execute = 0, sum_convert = 0;
-  convert::ResultConverter converter(2);
+  convert::ResultConverter converter{convert::ConverterOptions{}};
   for (size_t i = 0; i < queries.size(); ++i) {
     auto outcome = fx.service->Submit(fx.sid, queries[i]);
     if (!outcome.ok()) {

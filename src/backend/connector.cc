@@ -193,10 +193,6 @@ Result<BackendResult> BackendConnector::Package(vdb::QueryResult result,
                                             options_.session_tag);
   out.store->set_schema(out.columns);
 
-  // Legacy producers (the emulation layer) still deliver rows; fold them
-  // into one chunk so the rest of the pipeline sees only batches.
-  result.EnsureChunks();
-
   auto emit_span = [&](const std::shared_ptr<const vdb::ColumnBatch>& batch,
                        size_t offset, size_t rows) -> Status {
     // Cancellation is observed at every batch boundary: an abandoned fetch
@@ -211,11 +207,7 @@ Result<BackendResult> BackendConnector::Package(vdb::QueryResult result,
                                  options_.backend_name.c_str(),
                                  /*send=*/false, options_.batch_rows));
     HQ_FAULT_POINT(faultpoints::kConnectorFetchBatch);
-    // The per-row append fault point keeps its historical granularity so
-    // fault-injection counts are identical to the row-at-a-time path.
-    for (size_t r = 0; r < rows; ++r) {
-      HQ_FAULT_POINT(faultpoints::kTdfAppend);
-    }
+    HQ_FAULT_POINT(faultpoints::kTdfAppend);
     return out.store->AppendBatch(batch, offset, rows);
   };
 

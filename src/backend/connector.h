@@ -48,9 +48,8 @@ struct BackendResult {
 
   bool is_rowset() const { return !columns.empty(); }
 
-  /// \brief Decodes all batches back into datum rows.
-  /// \deprecated Row-materializing shim kept for tests and legacy callers;
-  /// batch-path consumers should iterate `store->ScanSpans()` directly.
+  /// \brief Decodes all batches into datum rows: the row view for tests and
+  /// examples. The result plane itself iterates `store->ScanSpans()`.
   Result<std::vector<std::vector<Datum>>> DecodeRows() const;
 };
 

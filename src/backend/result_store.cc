@@ -27,50 +27,6 @@ ResultStore::ResultStore(size_t memory_budget_bytes, std::string spill_dir,
 
 ResultStore::~ResultStore() { Release(); }
 
-Status ResultStore::Append(std::vector<uint8_t> batch, size_t row_count) {
-  total_rows_ += static_cast<int64_t>(row_count);
-  Slot slot;
-  slot.size = batch.size();
-
-  // Shed-or-spill policy: memory first (local budget AND governor), then
-  // disk (governor spill budget), then a typed shed.
-  bool fits_local =
-      batch.empty() || memory_bytes_ + batch.size() <= memory_budget_;
-  bool use_memory = fits_local;
-  if (use_memory && governor_ && !batch.empty()) {
-    use_memory = governor_
-                     ->ReserveMemory(session_tag_,
-                                     static_cast<int64_t>(batch.size()))
-                     .ok();
-  }
-
-  if (use_memory) {
-    memory_bytes_ += batch.size();
-    slot.bytes = std::move(batch);
-  } else {
-    HQ_FAULT_POINT(faultpoints::kStoreSpill);
-    if (governor_) {
-      Status reserved =
-          governor_->ReserveSpill(static_cast<int64_t>(batch.size()));
-      if (!reserved.ok()) {
-        governor_->NoteShed();
-        return reserved.WithContext("result shed: spill budget denied");
-      }
-    }
-    Status spilled = SpillBatch(batch, &slot);
-    if (!spilled.ok()) {
-      if (governor_) {
-        governor_->ReleaseSpill(static_cast<int64_t>(batch.size()));
-      }
-      return spilled;
-    }
-    ++spilled_files_;
-    spilled_bytes_ += static_cast<int64_t>(batch.size());
-  }
-  in_memory_.push_back(std::move(slot));
-  return Status::OK();
-}
-
 Status ResultStore::AppendBatch(
     std::shared_ptr<const vdb::ColumnBatch> batch, size_t offset,
     size_t rows) {
@@ -80,6 +36,8 @@ Status ResultStore::AppendBatch(
     charge += col->ByteSize(offset, offset + rows);
   }
 
+  // Shed-or-spill policy: memory first (local budget AND governor), then
+  // disk (governor spill budget), then a typed shed.
   Slot slot;
   bool fits_local = charge == 0 || memory_bytes_ + charge <= memory_budget_;
   bool use_memory = fits_local;
@@ -91,10 +49,9 @@ Status ResultStore::AppendBatch(
 
   if (use_memory) {
     memory_bytes_ += charge;
-    slot.is_span = true;
     slot.size = charge;
     slot.span = BatchSpan{std::move(batch), offset, rows};
-    in_memory_.push_back(std::move(slot));
+    slots_.push_back(std::move(slot));
     return Status::OK();
   }
 
@@ -120,7 +77,7 @@ Status ResultStore::AppendBatch(
   }
   ++spilled_files_;
   spilled_bytes_ += static_cast<int64_t>(encoded.size());
-  in_memory_.push_back(std::move(slot));
+  slots_.push_back(std::move(slot));
   return Status::OK();
 }
 
@@ -158,23 +115,15 @@ Status ResultStore::SpillBatch(const std::vector<uint8_t>& batch, Slot* slot) {
                : Status::IoError(write_ok.message()).WithContext(
                      "spill write failed for " + path);
   }
-  slot->spilled = true;
   slot->path = std::move(path);
   return Status::OK();
 }
 
-Status ResultStore::Scan(
-    const std::function<Status(const std::vector<uint8_t>&)>& fn) const {
-  for (const Slot& slot : in_memory_) {
-    if (slot.is_span) {
-      // Legacy consumers see span slots as freshly encoded TDF2 batches.
-      std::vector<uint8_t> encoded = EncodeTdfBatch(
-          schema_, *slot.span.batch, slot.span.offset, slot.span.rows);
-      HQ_RETURN_IF_ERROR(fn(encoded));
-      continue;
-    }
-    if (!slot.spilled) {
-      HQ_RETURN_IF_ERROR(fn(slot.bytes));
+Status ResultStore::ScanSpans(
+    const std::function<Status(const BatchSpan&)>& fn) const {
+  for (const Slot& slot : slots_) {
+    if (slot.path.empty()) {
+      HQ_RETURN_IF_ERROR(fn(slot.span));
       continue;
     }
     std::ifstream in(slot.path, std::ios::binary);
@@ -187,33 +136,6 @@ Status ResultStore::Scan(
       return Status::IoError("truncated spill file ", slot.path, " (",
                              bytes.size(), " of ", slot.size, " bytes)");
     }
-    HQ_RETURN_IF_ERROR(fn(bytes));
-  }
-  return Status::OK();
-}
-
-Status ResultStore::ScanSpans(
-    const std::function<Status(const BatchSpan&)>& fn) const {
-  for (const Slot& slot : in_memory_) {
-    if (slot.is_span) {
-      HQ_RETURN_IF_ERROR(fn(slot.span));
-      continue;
-    }
-    std::vector<uint8_t> bytes;
-    if (!slot.spilled) {
-      bytes = slot.bytes;
-    } else {
-      std::ifstream in(slot.path, std::ios::binary);
-      if (!in) {
-        return Status::IoError("cannot reopen spill file ", slot.path);
-      }
-      bytes.assign((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-      if (bytes.size() != slot.size) {
-        return Status::IoError("truncated spill file ", slot.path, " (",
-                               bytes.size(), " of ", slot.size, " bytes)");
-      }
-    }
     HQ_ASSIGN_OR_RETURN(TdfReader reader, TdfReader::Open(std::move(bytes)));
     HQ_ASSIGN_OR_RETURN(std::shared_ptr<const vdb::ColumnBatch> batch,
                         reader.ReadBatch());
@@ -224,13 +146,13 @@ Status ResultStore::ScanSpans(
 }
 
 void ResultStore::Release() {
-  for (Slot& slot : in_memory_) {
-    if (slot.spilled && !slot.path.empty()) {
+  for (Slot& slot : slots_) {
+    if (!slot.path.empty()) {
       std::remove(slot.path.c_str());
       slot.path.clear();
     }
   }
-  in_memory_.clear();
+  slots_.clear();
   if (governor_) {
     governor_->ReleaseMemory(session_tag_,
                              static_cast<int64_t>(memory_bytes_));

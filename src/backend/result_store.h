@@ -1,7 +1,8 @@
-// ResultStore (paper §4.6): buffers TDF batches when the frontend protocol
-// cannot stream (e.g. it must announce the total row count first). Batches
-// beyond a memory budget spill to temporary files, which are kept until the
-// result is fully consumed and then removed.
+// ResultStore (paper §4.6): buffers result batches when the frontend
+// protocol cannot stream (e.g. it must announce the total row count first).
+// Batches are held as zero-copy spans of the executor's chunks; batches
+// beyond a memory budget spill to temporary TDF2 files, which are kept until
+// the result is fully consumed and then removed.
 //
 // When attached to a ResourceGovernor (DESIGN.md §8) the store reserves
 // every buffered byte against the shared budgets and applies the
@@ -37,9 +38,9 @@ struct BatchSpan {
 
 /// \brief Bounded in-memory buffer of result batches with disk spill.
 ///
-/// Batches are held columnar (BatchSpan) on the fast path; spilled spans
-/// are serialized as TDF2 and decoded back to batches on scan. The encoded
-/// row-oriented Append/Scan pair remains as a legacy shim.
+/// Every slot is either an in-memory BatchSpan or a spilled TDF2 file that
+/// is decoded back to a batch on scan. Spans must be canonical for the
+/// store's schema (CanonicalizeBatch).
 class ResultStore {
  public:
   /// \param memory_budget_bytes in-memory cap before spilling
@@ -61,41 +62,30 @@ class ResultStore {
   // shared_ptr anyway.
   ResultStore(ResultStore&&) = delete;
 
-  /// \brief Appends one encoded TDF batch. Policy: memory if both the local
-  /// budget and the governor admit it, else spill (governor-bounded), else
-  /// shed (kResourceExhausted). Spill I/O failures surface as kIoError.
-  /// \deprecated Row-oriented shim; the batch data plane uses AppendBatch.
-  Status Append(std::vector<uint8_t> batch, size_t row_count);
-
-  /// \brief Schema used to serialize spans on spill and by the legacy Scan
-  /// shim; must be set before the first AppendBatch/Scan of span slots.
+  /// \brief Schema used to serialize spans on spill; must be set before the
+  /// first AppendBatch.
   void set_schema(std::vector<TdfColumn> schema) {
     schema_ = std::move(schema);
   }
   const std::vector<TdfColumn>& schema() const { return schema_; }
 
-  /// \brief Appends a columnar span under the same shed-or-spill policy.
-  /// In memory the span is held zero-copy (charged at its heap size); a
-  /// spilled span is encoded as TDF2 and charged at its encoded size.
+  /// \brief Appends a canonical columnar span. Policy: memory if both the
+  /// local budget and the governor admit it, else spill (governor-bounded),
+  /// else shed (kResourceExhausted). In memory the span is held zero-copy
+  /// (charged at its heap size); a spilled span is encoded as TDF2 and
+  /// charged at its encoded size. Spill I/O failures surface as kIoError.
   Status AppendBatch(std::shared_ptr<const vdb::ColumnBatch> batch,
                      size_t offset, size_t rows);
 
   int64_t total_rows() const { return total_rows_; }
-  size_t batch_count() const { return in_memory_.size(); }
+  size_t batch_count() const { return slots_.size(); }
   size_t spilled_batches() const { return spilled_files_; }
   size_t memory_bytes() const { return memory_bytes_; }
   /// \brief Bytes currently spilled to disk by this store.
   int64_t spilled_bytes() const { return spilled_bytes_; }
 
-  /// \brief Visits every batch in append order (spilled batches are read
-  /// back from disk). The store stays valid for repeated scans.
-  /// \deprecated Legacy encoded-bytes view; span slots are re-encoded as
-  /// TDF2 on demand. Batch-path consumers should use ScanSpans.
-  Status Scan(
-      const std::function<Status(const std::vector<uint8_t>&)>& fn) const;
-
   /// \brief Visits every batch in append order as columnar spans (spilled
-  /// and legacy encoded slots are decoded). Repeated scans are valid.
+  /// slots are read back from disk). Repeated scans are valid.
   Status ScanSpans(const std::function<Status(const BatchSpan&)>& fn) const;
 
   /// \brief Deletes spill files and returns every reserved byte to the
@@ -104,12 +94,9 @@ class ResultStore {
 
  private:
   struct Slot {
-    bool spilled = false;
-    bool is_span = false;
-    BatchSpan span;              // when an in-memory columnar span
-    std::vector<uint8_t> bytes;  // when in-memory encoded (legacy Append)
-    std::string path;            // when spilled
-    size_t size = 0;             // charged bytes (for governor release)
+    BatchSpan span;    // when in memory
+    std::string path;  // when spilled (non-empty)
+    size_t size = 0;   // charged bytes
   };
 
   Status SpillBatch(const std::vector<uint8_t>& batch, Slot* slot);
@@ -119,7 +106,7 @@ class ResultStore {
   std::string spill_dir_;
   std::shared_ptr<ResourceGovernor> governor_;
   uint64_t session_tag_ = 0;
-  std::vector<Slot> in_memory_;  // all slots, in append order
+  std::vector<Slot> slots_;  // in append order
   size_t memory_bytes_ = 0;
   size_t spilled_files_ = 0;
   int64_t spilled_bytes_ = 0;

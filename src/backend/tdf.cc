@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/fault.h"
-
 namespace hyperq::backend {
 
 using vdb::ColumnBatch;
@@ -116,89 +114,12 @@ Result<Datum> DecodeDatumTagged(BufferReader* in) {
 
 }  // namespace
 
-TdfWriter::TdfWriter(std::vector<TdfColumn> schema)
-    : schema_(std::move(schema)) {}
-
-Status TdfWriter::AddRow(const std::vector<Datum>& row) {
-  HQ_FAULT_POINT(faultpoints::kTdfAppend);
-  if (row.size() != schema_.size()) {
-    return Status::InvalidArgument("TDF row arity ", row.size(),
-                                   " does not match schema arity ",
-                                   schema_.size());
-  }
-  // Presence bitmap.
-  size_t nbytes = (schema_.size() + 7) / 8;
-  std::vector<uint8_t> bitmap(nbytes, 0);
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (!row[i].is_null()) bitmap[i / 8] |= (1u << (i % 8));
-  }
-  body_.PutBytes(bitmap.data(), bitmap.size());
-
-  for (size_t i = 0; i < row.size(); ++i) {
-    Datum v = row[i];
-    if (v.is_null()) continue;
-    // Coerce to the declared column type: expression typing and runtime
-    // kinds can legitimately diverge (e.g. an integer-valued CASE branch in
-    // a DECIMAL-typed column).
-    if (schema_[i].type.kind != TypeKind::kNull) {
-      HQ_ASSIGN_OR_RETURN(v, v.CastTo(schema_[i].type));
-    }
-    if (v.is_bool()) {
-      body_.PutU8(v.bool_val() ? 1 : 0);
-    } else if (v.is_int()) {
-      body_.PutI64(v.int_val());
-    } else if (v.is_double()) {
-      body_.PutF64(v.double_val());
-    } else if (v.is_decimal()) {
-      body_.PutI64(v.decimal_val().value);
-      body_.PutI32(v.decimal_val().scale);
-    } else if (v.is_string()) {
-      body_.PutLenBytes(v.string_val());
-    } else if (v.is_date()) {
-      body_.PutI32(v.date_val());
-    } else if (v.is_time()) {
-      body_.PutI64(v.time_val());
-    } else if (v.is_timestamp()) {
-      body_.PutI64(v.timestamp_val());
-    } else if (v.is_interval()) {
-      body_.PutI64(v.interval_val());
-    } else if (v.is_period()) {
-      body_.PutI32(v.period_val().begin_days);
-      body_.PutI32(v.period_val().end_days);
-    } else {
-      return Status::Internal("TDF: unsupported datum kind");
-    }
-  }
-  ++rows_;
-  return Status::OK();
-}
-
-std::vector<uint8_t> TdfWriter::Finish() {
-  BufferWriter out;
-  out.PutU32(kTdfMagic);
-  out.PutU32(static_cast<uint32_t>(schema_.size()));
-  for (const auto& col : schema_) {
-    out.PutU8(static_cast<uint8_t>(col.type.kind));
-    out.PutI32(col.type.length);
-    out.PutI32(col.type.precision);
-    out.PutI32(col.type.scale);
-    out.PutLenBytes(col.name);
-  }
-  out.PutU32(static_cast<uint32_t>(rows_));
-  out.PutBytes(body_.data(), body_.size());
-  return out.Take();
-}
-
 Result<TdfReader> TdfReader::Open(std::vector<uint8_t> bytes) {
   TdfReader reader;
   reader.bytes_ = std::move(bytes);
   BufferReader in(reader.bytes_);
   HQ_ASSIGN_OR_RETURN(uint32_t magic, in.GetU32());
-  if (magic == kTdfMagic2) {
-    reader.columnar_ = true;
-  } else if (magic != kTdfMagic) {
-    return Status::ProtocolError("bad TDF magic");
-  }
+  if (magic != kTdfMagic2) return Status::ProtocolError("bad TDF magic");
   HQ_ASSIGN_OR_RETURN(uint32_t ncols, in.GetU32());
   for (uint32_t i = 0; i < ncols; ++i) {
     TdfColumn col;
@@ -287,15 +208,6 @@ std::vector<uint8_t> EncodeTdfBatch(const std::vector<TdfColumn>& schema,
 }
 
 Result<std::shared_ptr<const ColumnBatch>> TdfReader::ReadBatch() const {
-  if (!columnar_) {
-    // TDF1: decode rows, then columnarize against the schema types.
-    HQ_ASSIGN_OR_RETURN(std::vector<std::vector<Datum>> rows, ReadAll());
-    std::vector<SqlType> types;
-    types.reserve(schema_.size());
-    for (const auto& c : schema_) types.push_back(c.type);
-    return std::shared_ptr<const ColumnBatch>(
-        vdb::BatchFromRows(types, rows, 0, rows.size()));
-  }
   BufferReader in(bytes_.data() + rows_offset_, bytes_.size() - rows_offset_);
   auto batch = std::make_shared<ColumnBatch>();
   batch->rows = nrows_;
@@ -383,6 +295,11 @@ Result<std::shared_ptr<const ColumnBatch>> TdfReader::ReadBatch() const {
 Result<std::shared_ptr<const ColumnBatch>> CanonicalizeBatch(
     const std::vector<TdfColumn>& schema,
     std::shared_ptr<const ColumnBatch> chunk) {
+  if (chunk->columns.size() != schema.size()) {
+    return Status::InvalidArgument("batch arity ", chunk->columns.size(),
+                                   " does not match schema arity ",
+                                   schema.size());
+  }
   const size_t n = chunk->rows;
   auto conforms = [&](size_t c) -> bool {
     const ColumnVec& col = *chunk->columns[c];
@@ -438,8 +355,7 @@ Result<std::shared_ptr<const ColumnBatch>> CanonicalizeBatch(
       case TypeKind::kPeriodDate:
         return col.kind == PhysKind::kPeriod;
       case TypeKind::kNull:
-        // The row reader yields NULL for kNull schema columns regardless of
-        // payload; canonical form is the all-NULL column.
+        // An untyped column carries only NULLs.
         return col.nulls == col.size;
     }
     return false;
@@ -469,7 +385,6 @@ Result<std::shared_ptr<const ColumnBatch>> CanonicalizeBatch(
         col->AppendNull();
         continue;
       }
-      // Same coercion TdfWriter::AddRow applies per value.
       HQ_ASSIGN_OR_RETURN(Datum v, src.GetDatum(r).CastTo(t));
       if (!col->Append(v)) {
         return Status::Internal("TDF2: cast result does not match schema ",
@@ -479,96 +394,6 @@ Result<std::shared_ptr<const ColumnBatch>> CanonicalizeBatch(
     out->columns.push_back(std::move(col));
   }
   return std::shared_ptr<const ColumnBatch>(std::move(out));
-}
-
-Result<std::vector<std::vector<Datum>>> TdfReader::ReadAll() const {
-  if (columnar_) {
-    HQ_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnBatch> batch, ReadBatch());
-    std::vector<std::vector<Datum>> out;
-    out.reserve(nrows_);
-    vdb::AppendRowsFromBatch(*batch, 0, batch->rows, &out);
-    return out;
-  }
-  std::vector<std::vector<Datum>> out;
-  out.reserve(nrows_);
-  BufferReader in(bytes_.data() + rows_offset_, bytes_.size() - rows_offset_);
-  size_t ncols = schema_.size();
-  size_t bitmap_bytes = (ncols + 7) / 8;
-  for (size_t r = 0; r < nrows_; ++r) {
-    HQ_ASSIGN_OR_RETURN(std::string bitmap, in.GetBytes(bitmap_bytes));
-    std::vector<Datum> row;
-    row.reserve(ncols);
-    for (size_t i = 0; i < ncols; ++i) {
-      bool present =
-          (static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1;
-      if (!present) {
-        row.push_back(Datum::Null());
-        continue;
-      }
-      switch (schema_[i].type.kind) {
-        case TypeKind::kBool: {
-          HQ_ASSIGN_OR_RETURN(uint8_t b, in.GetU8());
-          row.push_back(Datum::Bool(b != 0));
-          break;
-        }
-        case TypeKind::kSmallInt:
-        case TypeKind::kInt:
-        case TypeKind::kBigInt: {
-          HQ_ASSIGN_OR_RETURN(int64_t v, in.GetI64());
-          row.push_back(Datum::Int(v));
-          break;
-        }
-        case TypeKind::kDouble: {
-          HQ_ASSIGN_OR_RETURN(double v, in.GetF64());
-          row.push_back(Datum::MakeDouble(v));
-          break;
-        }
-        case TypeKind::kDecimal: {
-          HQ_ASSIGN_OR_RETURN(int64_t unscaled, in.GetI64());
-          HQ_ASSIGN_OR_RETURN(int32_t scale, in.GetI32());
-          row.push_back(Datum::MakeDecimal(Decimal{unscaled, scale}));
-          break;
-        }
-        case TypeKind::kChar:
-        case TypeKind::kVarchar: {
-          HQ_ASSIGN_OR_RETURN(std::string s, in.GetLenBytes());
-          row.push_back(Datum::String(std::move(s)));
-          break;
-        }
-        case TypeKind::kDate: {
-          HQ_ASSIGN_OR_RETURN(int32_t d, in.GetI32());
-          row.push_back(Datum::Date(d));
-          break;
-        }
-        case TypeKind::kTime: {
-          HQ_ASSIGN_OR_RETURN(int64_t t, in.GetI64());
-          row.push_back(Datum::Time(t));
-          break;
-        }
-        case TypeKind::kTimestamp: {
-          HQ_ASSIGN_OR_RETURN(int64_t t, in.GetI64());
-          row.push_back(Datum::Timestamp(t));
-          break;
-        }
-        case TypeKind::kInterval: {
-          HQ_ASSIGN_OR_RETURN(int64_t t, in.GetI64());
-          row.push_back(Datum::Interval(t));
-          break;
-        }
-        case TypeKind::kPeriodDate: {
-          HQ_ASSIGN_OR_RETURN(int32_t b, in.GetI32());
-          HQ_ASSIGN_OR_RETURN(int32_t e, in.GetI32());
-          row.push_back(Datum::Period(b, e));
-          break;
-        }
-        case TypeKind::kNull:
-          row.push_back(Datum::Null());
-          break;
-      }
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
 }
 
 }  // namespace hyperq::backend

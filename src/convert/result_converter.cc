@@ -18,11 +18,8 @@ using protocol::WireType;
 using vdb::ColumnVec;
 using vdb::PhysKind;
 
-/// Physical column form the typed wire encoder can consume for a wire type.
-/// Columns arriving from the batch data plane are canonicalized against the
-/// TDF schema, so this holds in the common case; any mismatch (boxed kDatum
-/// columns, all-NULL placeholder kinds) routes the batch to the row-encode
-/// fallback instead.
+/// Physical column form the typed wire encoder reads for a wire type: the
+/// canonical form CanonicalizeBatch gives the column's SQL type.
 bool ColumnMatchesWire(const ColumnVec& col, const WireColumn& wc) {
   switch (wc.type) {
     case WireType::kSmallInt:  // also carries BOOL as 0/1
@@ -140,10 +137,6 @@ ResultConverter::ResultConverter(ConverterOptions options)
   options_.rows_per_batch = std::max<size_t>(1, options_.rows_per_batch);
 }
 
-ResultConverter::ResultConverter(int parallelism, size_t rows_per_batch)
-    : ResultConverter(ConverterOptions{parallelism, rows_per_batch, nullptr}) {
-}
-
 Result<ConversionResult> ResultConverter::Convert(
     const backend::BackendResult& result, QueryContext* ctx) const {
   ConversionResult out;
@@ -155,7 +148,7 @@ Result<ConversionResult> ResultConverter::Convert(
     out.columns.push_back(std::move(wc));
   }
 
-  // Unwrap TDF spans (buffered: the header must announce the full row
+  // Collect the store's spans (buffered: the header must announce the full row
   // count). Spans share their batches with the store — no row copy here.
   std::vector<BatchSpan> spans;
   std::vector<size_t> span_start;  // global row index of each span
@@ -170,9 +163,9 @@ Result<ConversionResult> ResultConverter::Convert(
   }
   out.total_rows = total;
 
-  // Carve the global row range into wire batches (identical segmentation to
-  // the historical row path: batch b covers rows [b*N, (b+1)*N)), then
-  // encode batches in parallel. A wire batch may straddle span boundaries.
+  // Carve the global row range into wire batches (batch b covers rows
+  // [b*N, (b+1)*N), however the spans landed), then encode batches in
+  // parallel. A wire batch may straddle span boundaries.
   const size_t rows_per_batch = options_.rows_per_batch;
   size_t nbatches = (total + rows_per_batch - 1) / rows_per_batch;
   out.batches.resize(nbatches);
@@ -181,15 +174,18 @@ Result<ConversionResult> ResultConverter::Convert(
   const size_t ncols = out.columns.size();
   const size_t bitmap_bytes = (ncols + 7) / 8;
 
-  // Per-record encode straight from the columns; returns false when a
-  // column's physical form requires the row-oriented oracle.
+  // Per-record encode straight from the columns. A column whose physical
+  // form is not the canonical one for its wire type (all-NULL columns
+  // aside) means a producer skipped CanonicalizeBatch: fail typed rather
+  // than write bytes the client would misread.
   auto encode_span_rows = [&](const BatchSpan& span, size_t begin, size_t end,
-                              BufferWriter* w) -> Result<bool> {
+                              BufferWriter* w) -> Status {
     const auto& cols = span.batch->columns;
     for (size_t c = 0; c < ncols; ++c) {
       if (!ColumnMatchesWire(*cols[c], out.columns[c]) &&
-          !(cols[c]->nulls == cols[c]->size)) {
-        return false;
+          cols[c]->nulls != cols[c]->size) {
+        return Status::Internal("result column ", out.columns[c].name,
+                                " is not canonical for its wire type");
       }
     }
     std::vector<uint8_t> bitmap(bitmap_bytes);
@@ -214,18 +210,6 @@ Result<ConversionResult> ResultConverter::Convert(
         if (cols[c]->IsNull(row)) continue;
         EncodeField(*cols[c], row, out.columns[c], w);
       }
-    }
-    return true;
-  };
-
-  auto encode_span_rows_fallback = [&](const BatchSpan& span, size_t begin,
-                                       size_t end, BufferWriter* w) -> Status {
-    vdb::Row scratch;
-    for (size_t r = begin; r < end; ++r) {
-      HQ_RETURN_IF_ERROR(
-          FaultInjector::Global().Check(faultpoints::kConvertEncodeRow));
-      span.batch->FillRow(span.offset + r, &scratch);
-      HQ_RETURN_IF_ERROR(protocol::EncodeRecord(out.columns, scratch, w));
     }
     return Status::OK();
   };
@@ -255,18 +239,10 @@ Result<ConversionResult> ResultConverter::Convert(
         const BatchSpan& span = spans[s];
         size_t local_begin = row - span_start[s];
         size_t local_end = std::min(span.rows, row_end - span_start[s]);
-        auto fast = encode_span_rows(span, local_begin, local_end, &w);
-        if (!fast.ok()) {
-          statuses[b] = fast.status();
+        Status st = encode_span_rows(span, local_begin, local_end, &w);
+        if (!st.ok()) {
+          statuses[b] = std::move(st);
           return;
-        }
-        if (!*fast) {
-          Status st =
-              encode_span_rows_fallback(span, local_begin, local_end, &w);
-          if (!st.ok()) {
-            statuses[b] = st;
-            return;
-          }
         }
         row = span_start[s] + local_end;
         ++s;

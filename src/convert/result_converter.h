@@ -3,13 +3,14 @@
 // configurable number of worker threads, each handling a subset of the
 // rows, exactly as the paper describes.
 //
-// Since the columnar data-plane redesign (DESIGN.md §15) the converter
-// consumes the ResultStore's batch spans directly: wire records are encoded
-// straight from the typed column vectors — bitmap transpose plus bulk field
-// writes — without materializing a Datum row per record. A per-batch
-// row-oriented fallback (protocol::EncodeRecord) covers columns whose
-// physical form diverges from the wire schema; its output is byte-identical
-// by construction, so the fast path is an optimization, never a format fork.
+// The converter consumes the ResultStore's batch spans directly (DESIGN.md
+// §15): wire records are encoded straight from the typed column vectors —
+// bitmap transpose plus bulk field writes — without materializing a Datum
+// row per record. Every span is canonical for the result schema
+// (backend::CanonicalizeBatch), so each column's physical form matches its
+// wire type; a column that does not is an internal error, never silently
+// re-encoded. protocol::EncodeRecord remains the byte-identity oracle the
+// tests compare against.
 //
 // tdwp requires the total row count before the first record (see
 // protocol/tdwp.h), so conversion is a buffered operation: the full TDF
@@ -50,10 +51,6 @@ struct ConverterOptions {
 class ResultConverter {
  public:
   explicit ResultConverter(ConverterOptions options);
-
-  /// \deprecated Positional-argument constructor kept for legacy call
-  /// sites; prefer ConverterOptions.
-  explicit ResultConverter(int parallelism = 2, size_t rows_per_batch = 2048);
 
   /// \brief Converts a backend (TDF) result into wire batches. `ctx`
   /// (optional) is polled at every batch boundary by each encode worker,

@@ -30,34 +30,29 @@ const char* OutcomeClassName(OutcomeClass cls) {
 std::vector<std::string> CanonicalRows(const vdb::QueryResult& result) {
   std::vector<std::string> out;
   out.reserve(result.row_count());
-  auto emit = [&](const std::vector<Datum>& row) {
-    std::string line;
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) line += '|';
-      const Datum& v = row[c];
-      if (v.is_null()) {
-        line += "<null>";
-      } else if (v.is_double()) {
-        // Floating-point results are normalized to 6 significant digits so
-        // evaluation-order noise does not read as a dialect divergence.
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.6g", v.double_val());
-        line += buf;
-      } else {
-        line += v.ToString();
-      }
-    }
-    out.push_back(std::move(line));
-  };
-  // Results arrive either as legacy datum rows or as columnar chunks
-  // (DESIGN.md §15); canonicalize both without forcing a materialization
-  // of the whole relation.
-  for (const auto& row : result.rows) emit(row);
-  std::vector<Datum> scratch;
+  // Results arrive as columnar chunks (DESIGN.md §15); canonicalize them
+  // row by row without materializing the whole relation.
+  std::vector<Datum> row;
   for (const auto& chunk : result.chunks) {
     for (size_t r = 0; r < chunk->rows; ++r) {
-      chunk->FillRow(r, &scratch);
-      emit(scratch);
+      chunk->FillRow(r, &row);
+      std::string line;
+      for (size_t c = 0; c < row.size(); ++c) {
+        if (c > 0) line += '|';
+        const Datum& v = row[c];
+        if (v.is_null()) {
+          line += "<null>";
+        } else if (v.is_double()) {
+          // Floating-point results are normalized to 6 significant digits
+          // so evaluation-order noise does not read as a dialect divergence.
+          char buf[64];
+          std::snprintf(buf, sizeof(buf), "%.6g", v.double_val());
+          line += buf;
+        } else {
+          line += v.ToString();
+        }
+      }
+      out.push_back(std::move(line));
     }
   }
   std::sort(out.begin(), out.end());

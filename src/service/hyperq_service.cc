@@ -1269,7 +1269,7 @@ Result<BackendResult> HyperQService::HedgedExecute(Session* session,
 // Local result packaging
 // ---------------------------------------------------------------------------
 
-BackendResult HyperQService::PackageLocal(
+Result<BackendResult> HyperQService::PackageLocal(
     const emulation::LocalResult& local) {
   BackendResult out;
   std::vector<SqlType> types;
@@ -1280,9 +1280,13 @@ BackendResult HyperQService::PackageLocal(
   }
   out.store = std::make_shared<backend::ResultStore>();
   out.store->set_schema(out.columns);
-  std::shared_ptr<const vdb::ColumnBatch> batch =
-      vdb::BatchFromRows(types, local.rows, 0, local.rows.size());
-  (void)out.store->AppendBatch(batch, 0, batch->rows);
+  // Spans in a store are canonical for its schema, like the connector's.
+  HQ_ASSIGN_OR_RETURN(
+      std::shared_ptr<const vdb::ColumnBatch> batch,
+      backend::CanonicalizeBatch(
+          out.columns,
+          vdb::BatchFromRows(types, local.rows, 0, local.rows.size())));
+  HQ_RETURN_IF_ERROR(out.store->AppendBatch(batch, 0, batch->rows));
   out.command_tag = "HELP";
   return out;
 }
@@ -1636,7 +1640,7 @@ Result<QueryOutcome> HyperQService::ExecuteStatement(
                                 session->info, catalog_));
       }
       QueryOutcome out;
-      out.result = PackageLocal(local);
+      HQ_ASSIGN_OR_RETURN(out.result, PackageLocal(local));
       out.features = std::move(features);
       return out;
     }

@@ -583,7 +583,7 @@ class HyperQService : public protocol::RequestHandler {
   // Expands PERIOD columns of an INSERT plan into begin/end pairs.
   Status ExpandPeriodInsert(xtra::Op* insert_op, FeatureSet* features);
 
-  static backend::BackendResult PackageLocal(
+  static Result<backend::BackendResult> PackageLocal(
       const emulation::LocalResult& local);
   static backend::BackendResult CommandResult(const std::string& tag,
                                               int64_t activity = 0);

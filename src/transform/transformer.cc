@@ -57,6 +57,31 @@ ExprPtr MakeNullConst(const SqlType& type) {
   return xtra::Const(Datum::Null(), type);
 }
 
+ExprPtr IsNull(ExprPtr operand) {
+  auto test = std::make_unique<Expr>(ExprKind::kIsNull);
+  test->type = SqlType::Bool();
+  test->children.push_back(std::move(operand));
+  return test;
+}
+
+// EXISTS (SELECT 1 FROM <subplan> WHERE <pred>), NOT EXISTS when negated —
+// the paper's "remap consts" projection under a select (Figure 6).
+ExprPtr ExistsWhere(OpPtr subplan, ExprPtr pred, bool negated,
+                    TransformContext* ctx, int fallback_id) {
+  std::vector<xtra::ProjectItem> items;
+  xtra::ProjectItem one;
+  one.expr = xtra::IntConst(1);
+  one.out_id = ctx->ids ? ctx->ids->Next() : fallback_id;
+  one.name = "ONE";
+  items.push_back(std::move(one));
+  OpPtr remap = xtra::Project(std::move(subplan), std::move(items));
+  auto exists = std::make_unique<Expr>(ExprKind::kSubqExists);
+  exists->type = SqlType::Bool();
+  exists->negated = negated;
+  exists->subplan = xtra::Select(std::move(remap), std::move(pred));
+  return exists;
+}
+
 // ---------------------------------------------------------------------------
 // comp_date_to_int (binding stage)
 // ---------------------------------------------------------------------------
@@ -158,35 +183,15 @@ class VectorSubqToExistsRule : public Rule {
         std::vector<ExprPtr> witness;
         witness.push_back(xtra::Not(std::move(row_pred)));
         for (size_t i = 0; i < x.children.size(); ++i) {
-          auto outer_null = std::make_unique<Expr>(ExprKind::kIsNull);
-          outer_null->type = SqlType::Bool();
-          outer_null->children.push_back(x.children[i]->Clone());
-          witness.push_back(std::move(outer_null));
-          auto inner_null = std::make_unique<Expr>(ExprKind::kIsNull);
-          inner_null->type = SqlType::Bool();
-          inner_null->children.push_back(
-              xtra::ColRef(cols[i].id, cols[i].name, cols[i].type));
-          witness.push_back(std::move(inner_null));
+          witness.push_back(IsNull(x.children[i]->Clone()));
+          witness.push_back(
+              IsNull(xtra::ColRef(cols[i].id, cols[i].name, cols[i].type)));
         }
         row_pred = xtra::BoolOp(BoolKind::kOr, std::move(witness));
       }
 
-      // SELECT 1 FROM <subplan> WHERE <pred> — the paper's "remap consts"
-      // projection under a select (Figure 6).
-      std::vector<xtra::ProjectItem> items;
-      xtra::ProjectItem one;
-      one.expr = xtra::IntConst(1);
-      one.out_id = ctx->ids ? ctx->ids->Next() : 1000000;
-      one.name = "ONE";
-      items.push_back(std::move(one));
-      OpPtr remap = xtra::Project(std::move(x.subplan), std::move(items));
-      OpPtr filtered = xtra::Select(std::move(remap), std::move(row_pred));
-
-      auto exists = std::make_unique<Expr>(ExprKind::kSubqExists);
-      exists->type = SqlType::Bool();
-      exists->negated = negate;
-      exists->subplan = std::move(filtered);
-      *e = std::move(exists);
+      *e = ExistsWhere(std::move(x.subplan), std::move(row_pred), negate,
+                       ctx, 1000000);
       ctx->changed = true;
       if (ctx->features && vector) {
         ctx->features->Record(Feature::kVectorSubquery);
@@ -240,9 +245,16 @@ class VectorSubqToExistsRule : public Rule {
 // in_subq_to_exists (serialization stage)
 // ---------------------------------------------------------------------------
 
-// x IN (SELECT c FROM S)  ==>  EXISTS (SELECT 1 FROM S WHERE x = c)
-// Fires only for targets without quantified/IN subquery support; kept as a
-// separate rule so the cascade (vector -> exists) is observable.
+// x IN (SELECT c FROM S)  ==>
+//   CASE WHEN EXISTS (SELECT 1 FROM S WHERE x = c) THEN TRUE
+//        WHEN NOT EXISTS (SELECT 1 FROM S WHERE x IS NULL OR c IS NULL)
+//        THEN FALSE END
+// Exact in three-valued logic: a match is TRUE; no match with a NULL on
+// either side is UNKNOWN (the CASE has no ELSE); otherwise — the empty set
+// included — FALSE. NOT IN swaps the two constants. A bare EXISTS would
+// only hold in a positive context: NOT EXISTS keeps the rows whose IN is
+// UNKNOWN. Fires only for targets without quantified/IN subquery support;
+// kept as a separate rule so the cascade (vector -> exists) is observable.
 class InSubqToExistsRule : public Rule {
  public:
   const char* name() const override { return "in_subq_to_exists"; }
@@ -255,21 +267,27 @@ class InSubqToExistsRule : public Rule {
       if (x.kind != ExprKind::kSubqIn) return;
       if (ctx->profile->supports_quantified_subquery) return;
       const ColumnInfo col = x.subplan->output[0];
-      ExprPtr pred = xtra::Comp(CompKind::kEq, x.children[0]->Clone(),
-                                xtra::ColRef(col.id, col.name, col.type));
-      std::vector<xtra::ProjectItem> items;
-      xtra::ProjectItem one;
-      one.expr = xtra::IntConst(1);
-      one.out_id = ctx->ids ? ctx->ids->Next() : 1000001;
-      one.name = "ONE";
-      items.push_back(std::move(one));
-      OpPtr remap = xtra::Project(std::move(x.subplan), std::move(items));
-      OpPtr filtered = xtra::Select(std::move(remap), std::move(pred));
-      auto exists = std::make_unique<Expr>(ExprKind::kSubqExists);
-      exists->type = SqlType::Bool();
-      exists->negated = x.negated;
-      exists->subplan = std::move(filtered);
-      *e = std::move(exists);
+      auto inner = [&] { return xtra::ColRef(col.id, col.name, col.type); };
+      std::vector<ExprPtr> null_sides;
+      null_sides.push_back(IsNull(x.children[0]->Clone()));
+      null_sides.push_back(IsNull(inner()));
+      ExprPtr match = ExistsWhere(
+          x.subplan->Clone(),
+          xtra::Comp(CompKind::kEq, x.children[0]->Clone(), inner()),
+          /*negated=*/false, ctx, 1000001);
+      ExprPtr no_null = ExistsWhere(
+          std::move(x.subplan),
+          xtra::BoolOp(BoolKind::kOr, std::move(null_sides)),
+          /*negated=*/true, ctx, 1000002);
+      auto lowered = std::make_unique<Expr>(ExprKind::kCase);
+      lowered->type = SqlType::Bool();
+      lowered->when_then.emplace_back(
+          std::move(match),
+          xtra::Const(Datum::Bool(!x.negated), SqlType::Bool()));
+      lowered->when_then.emplace_back(
+          std::move(no_null),
+          xtra::Const(Datum::Bool(x.negated), SqlType::Bool()));
+      *e = std::move(lowered);
       ctx->changed = true;
     });
     return Status::OK();

@@ -16,15 +16,6 @@ void QueryResult::EnsureRows() {
   chunks.clear();
 }
 
-void QueryResult::EnsureChunks() {
-  if (!chunks.empty() || rows.empty()) return;
-  std::vector<SqlType> types;
-  types.reserve(columns.size());
-  for (const auto& c : columns) types.push_back(c.type);
-  chunks.push_back(BatchFromRows(types, rows, 0, rows.size()));
-  rows.clear();
-}
-
 Engine::Engine() : dialect_(sql::Dialect::Ansi()) {}
 
 Result<QueryResult> Engine::Execute(const std::string& sql) {

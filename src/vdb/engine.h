@@ -31,15 +31,12 @@ struct ResultColumn {
 /// \brief A fully materialized statement result.
 ///
 /// SELECT results arrive as columnar `chunks` (shared, immutable
-/// ColumnBatch); `rows` is the deprecated row-at-a-time shim, populated
-/// only by EnsureRows() or by legacy producers (emulation). Exactly one of
-/// the two forms is authoritative; consumers on the batch path should call
-/// EnsureChunks() and iterate `chunks`.
+/// ColumnBatch). `rows` is the on-demand row view: empty until EnsureRows()
+/// moves the chunks into it.
 struct QueryResult {
   std::vector<ResultColumn> columns;
 
-  /// \deprecated Row shim; call EnsureRows() before reading, or better,
-  /// consume `chunks` directly.
+  /// Row view of the result, filled by EnsureRows().
   std::vector<Row> rows;
 
   /// Columnar result payload (authoritative when non-empty).
@@ -60,11 +57,8 @@ struct QueryResult {
     return rows.size();
   }
 
-  /// \brief Materializes `rows` from `chunks` (legacy consumers).
+  /// \brief Materializes `rows` from `chunks` (which it clears).
   void EnsureRows();
-  /// \brief Builds one chunk from `rows` (legacy producers feeding the
-  /// batch data plane); requires `columns` to be populated.
-  void EnsureChunks();
 };
 
 /// \brief The target database engine. Thread-safe: one internal lock

@@ -272,13 +272,12 @@ OpPtr NormalizeSelectOverJoin(OpPtr select) {
   return current;
 }
 
-// Inside a subplan, a filter whose conjuncts hold subqueries becomes a
-// cascade: the other conjuncts first, as one filter (keeping an indexed
-// Select-over-Get intact), then each subquery conjunct in order as its own
-// filter. A subquery is then evaluated only for the rows the earlier
-// filters kept, as a short-circuiting row-at-a-time AND would, instead of
-// for every row of a vectorized AND. (Top-level filters keep the
-// vectorized AND.)
+// A filter whose conjuncts hold subqueries becomes a cascade: the other
+// conjuncts first, as one filter (keeping an indexed Select-over-Get
+// intact), then each subquery conjunct in order as its own filter. A
+// subquery is then evaluated only for the rows the earlier filters kept, as
+// a short-circuiting row-at-a-time AND would, instead of for every row of a
+// vectorized AND.
 OpPtr CascadeSubqueryConjuncts(OpPtr select) {
   std::vector<ExprPtr> conjuncts, plain;
   SplitAnd(std::move(select->predicate), &conjuncts);
@@ -319,16 +318,16 @@ bool NeedsCascade(const Op& select) {
   return subquery && count > 1;
 }
 
-void OptimizeInPlace(OpPtr* op, bool in_subplan) {
-  for (auto& child : (*op)->children) OptimizeInPlace(&child, in_subplan);
+void OptimizeInPlace(OpPtr* op) {
+  for (auto& child : (*op)->children) OptimizeInPlace(&child);
   transform::MutateExprs(op->get(), [&](ExprPtr* e) {
-    if ((*e)->subplan) OptimizeInPlace(&(*e)->subplan, /*in_subplan=*/true);
+    if ((*e)->subplan) OptimizeInPlace(&(*e)->subplan);
   });
   if ((*op)->kind == OpKind::kSelect && !(*op)->post_window_filter &&
       (*op)->predicate != nullptr && IsCrossTree(*(*op)->children[0])) {
     *op = NormalizeSelectOverJoin(std::move(*op));
   }
-  if (in_subplan && (*op)->kind == OpKind::kSelect &&
+  if ((*op)->kind == OpKind::kSelect &&
       !(*op)->post_window_filter && (*op)->predicate != nullptr &&
       NeedsCascade(**op)) {
     *op = CascadeSubqueryConjuncts(std::move(*op));
@@ -337,8 +336,6 @@ void OptimizeInPlace(OpPtr* op, bool in_subplan) {
 
 }  // namespace
 
-void OptimizePlan(OpPtr* plan) {
-  OptimizeInPlace(plan, /*in_subplan=*/false);
-}
+void OptimizePlan(OpPtr* plan) { OptimizeInPlace(plan); }
 
 }  // namespace hyperq::vdb

@@ -5,10 +5,28 @@
 #include "backend/connector.h"
 #include "backend/result_store.h"
 #include "backend/tdf.h"
+#include "common/buffer.h"
+#include "vdb/column_batch.h"
 #include "vdb/engine.h"
 
 namespace hyperq::backend {
 namespace {
+
+std::vector<SqlType> Types(const std::vector<TdfColumn>& schema) {
+  std::vector<SqlType> types;
+  for (const auto& c : schema) types.push_back(c.type);
+  return types;
+}
+
+// Encodes `rows` as one canonical TDF2 frame, the form a spill file holds.
+std::vector<uint8_t> EncodeRows(const std::vector<TdfColumn>& schema,
+                                const std::vector<vdb::Row>& rows) {
+  vdb::BatchBuilder builder(Types(schema));
+  for (const auto& row : rows) EXPECT_TRUE(builder.AppendRow(row).ok());
+  auto canon = CanonicalizeBatch(schema, builder.Finish());
+  EXPECT_TRUE(canon.ok()) << canon.status();
+  return EncodeTdfBatch(schema, **canon, 0, (*canon)->rows);
+}
 
 TEST(TdfTest, RoundTripAllKinds) {
   std::vector<TdfColumn> schema = {
@@ -17,63 +35,105 @@ TEST(TdfTest, RoundTripAllKinds) {
       {"DT", SqlType::Date()},        {"TS", SqlType::Timestamp()},
       {"B", SqlType::Bool()},         {"P", SqlType::PeriodDate()},
   };
-  TdfWriter writer(schema);
   std::vector<Datum> row1 = {
       Datum::Int(42),         Datum::MakeDecimal(Decimal{1250, 2}),
       Datum::MakeDouble(2.5), Datum::String("hello"),
       Datum::Date(16071),     Datum::Timestamp(123456789),
       Datum::Bool(true),      Datum::Period(100, 200)};
   std::vector<Datum> row2(8, Datum::Null());
-  ASSERT_TRUE(writer.AddRow(row1).ok());
-  ASSERT_TRUE(writer.AddRow(row2).ok());
-  auto bytes = writer.Finish();
+  auto bytes = EncodeRows(schema, {row1, row2});
 
   auto reader = TdfReader::Open(std::move(bytes));
   ASSERT_TRUE(reader.ok()) << reader.status();
   EXPECT_EQ(reader->schema().size(), 8u);
   EXPECT_EQ(reader->row_count(), 2u);
-  auto rows = reader->ReadAll();
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ((*rows)[0][0].int_val(), 42);
-  EXPECT_EQ((*rows)[0][1].decimal_val().ToString(), "12.50");
-  EXPECT_EQ((*rows)[0][3].string_val(), "hello");
-  EXPECT_EQ((*rows)[0][7].period_val().end_days, 200);
-  for (const auto& v : (*rows)[1]) EXPECT_TRUE(v.is_null());
+  auto batch = reader->ReadBatch();
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  std::vector<vdb::Row> rows;
+  vdb::AppendRowsFromBatch(**batch, 0, (*batch)->rows, &rows);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0].int_val(), 42);
+  EXPECT_EQ(rows[0][1].decimal_val().ToString(), "12.50");
+  EXPECT_EQ(rows[0][3].string_val(), "hello");
+  EXPECT_EQ(rows[0][7].period_val().end_days, 200);
+  for (const auto& v : rows[1]) EXPECT_TRUE(v.is_null());
 }
 
 TEST(TdfTest, CoercesRuntimeKindToSchema) {
-  // Integer-valued datum in a DECIMAL column must encode as decimal.
-  TdfWriter writer({{"D", SqlType::Decimal(10, 2)}});
-  ASSERT_TRUE(writer.AddRow({Datum::Int(3)}).ok());
-  auto reader = TdfReader::Open(writer.Finish());
-  ASSERT_TRUE(reader.ok());
-  auto rows = reader->ReadAll();
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ((*rows)[0][0].decimal_val().ToString(), "3.00");
+  // An integer datum in a DECIMAL column canonicalizes to a decimal.
+  std::vector<TdfColumn> schema = {{"D", SqlType::Decimal(10, 2)}};
+  vdb::BatchBuilder builder({SqlType::Int()});
+  ASSERT_TRUE(builder.AppendRow({Datum::Int(3)}).ok());
+  auto canon = CanonicalizeBatch(schema, builder.Finish());
+  ASSERT_TRUE(canon.ok()) << canon.status();
+  EXPECT_EQ((*canon)->columns[0]->kind, vdb::PhysKind::kDecimal);
+  EXPECT_EQ((*canon)->RowAt(0)[0].decimal_val().ToString(), "3.00");
 }
 
 TEST(TdfTest, ArityMismatchRejected) {
-  TdfWriter writer({{"A", SqlType::Int()}});
-  EXPECT_FALSE(writer.AddRow({Datum::Int(1), Datum::Int(2)}).ok());
+  vdb::BatchBuilder builder({SqlType::Int(), SqlType::Int()});
+  ASSERT_TRUE(builder.AppendRow({Datum::Int(1), Datum::Int(2)}).ok());
+  EXPECT_FALSE(
+      CanonicalizeBatch({{"A", SqlType::Int()}}, builder.Finish()).ok());
 }
 
 TEST(TdfTest, MalformedBytesRejected) {
   EXPECT_FALSE(TdfReader::Open({1, 2, 3, 4}).ok());
-  std::vector<uint8_t> truncated = {0x54, 0x44, 0x46, 0x31, 0xFF, 0xFF};
+  std::vector<uint8_t> truncated = {0x54, 0x44, 0x46, 0x32, 0xFF, 0xFF};
   EXPECT_FALSE(TdfReader::Open(std::move(truncated)).ok());
+}
+
+TEST(TdfTest, RejectsTdf1Header) {
+  // A well-formed header of the TDF1 row format (one INTEGER column, zero
+  // rows) is refused by its magic alone.
+  BufferWriter w;
+  w.PutU32(0x31464454);  // "TDF1"
+  w.PutU32(1);
+  w.PutU8(static_cast<uint8_t>(TypeKind::kInt));
+  w.PutI32(0);
+  w.PutI32(0);
+  w.PutI32(0);
+  w.PutLenBytes("A");
+  w.PutU32(0);
+  auto reader = TdfReader::Open(w.Take());
+  ASSERT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().message().find("bad TDF magic"),
+            std::string::npos);
+}
+
+// A store of ten-row INTEGER spans whose values encode (span, row).
+std::shared_ptr<const vdb::ColumnBatch> TenRowSpan(int span) {
+  vdb::BatchBuilder builder({SqlType::Int()});
+  for (int r = 0; r < 10; ++r) {
+    EXPECT_TRUE(builder.AppendRow({Datum::Int(span * 100 + r)}).ok());
+  }
+  return builder.Finish();
+}
+
+std::vector<int64_t> SpanValues(const BatchSpan& span) {
+  std::vector<int64_t> out;
+  for (size_t r = 0; r < span.rows; ++r) {
+    out.push_back(span.batch->RowAt(span.offset + r)[0].int_val());
+  }
+  return out;
 }
 
 TEST(ResultStoreTest, KeepsSmallResultsInMemory) {
   ResultStore store(1 << 20);
-  ASSERT_TRUE(store.Append(std::vector<uint8_t>(1000, 7), 10).ok());
-  ASSERT_TRUE(store.Append(std::vector<uint8_t>(1000, 8), 10).ok());
+  store.set_schema({{"A", SqlType::Int()}});
+  auto first = TenRowSpan(0);
+  ASSERT_TRUE(store.AppendBatch(first, 0, 10).ok());
+  ASSERT_TRUE(store.AppendBatch(TenRowSpan(1), 0, 10).ok());
   EXPECT_EQ(store.total_rows(), 20);
   EXPECT_EQ(store.spilled_batches(), 0u);
   int seen = 0;
   ASSERT_TRUE(store
-                  .Scan([&](const std::vector<uint8_t>& b) {
-                    EXPECT_EQ(b.size(), 1000u);
+                  .ScanSpans([&](const BatchSpan& span) {
+                    EXPECT_EQ(span.rows, 10u);
+                    // In memory the span shares the appended batch.
+                    if (seen == 0) {
+                      EXPECT_EQ(span.batch, first);
+                    }
                     ++seen;
                     return Status::OK();
                   })
@@ -82,27 +142,29 @@ TEST(ResultStoreTest, KeepsSmallResultsInMemory) {
 }
 
 TEST(ResultStoreTest, SpillsPastBudgetAndReadsBack) {
-  ResultStore store(/*memory_budget_bytes=*/2048);
-  std::vector<std::vector<uint8_t>> batches;
+  ResultStore store(/*memory_budget_bytes=*/256);
+  store.set_schema({{"A", SqlType::Int()}});
+  std::vector<std::vector<int64_t>> appended;
   for (int i = 0; i < 5; ++i) {
-    batches.emplace_back(1024, static_cast<uint8_t>(i));
-    ASSERT_TRUE(store.Append(batches.back(), 100).ok());
+    auto batch = TenRowSpan(i);
+    appended.push_back(SpanValues(BatchSpan{batch, 0, 10}));
+    ASSERT_TRUE(store.AppendBatch(batch, 0, 10).ok());
   }
   EXPECT_GT(store.spilled_batches(), 0u);
-  EXPECT_LE(store.memory_bytes(), 2048u);
-  // Scan preserves append order and exact bytes, spilled or not — twice.
+  EXPECT_LE(store.memory_bytes(), 256u);
+  // Scan preserves append order and exact values, spilled or not — twice.
   for (int pass = 0; pass < 2; ++pass) {
     size_t i = 0;
     ASSERT_TRUE(store
-                    .Scan([&](const std::vector<uint8_t>& b) {
-                      EXPECT_EQ(b, batches[i]);
+                    .ScanSpans([&](const BatchSpan& span) {
+                      EXPECT_EQ(SpanValues(span), appended[i]);
                       ++i;
                       return Status::OK();
                     })
                     .ok());
-    EXPECT_EQ(i, batches.size());
+    EXPECT_EQ(i, appended.size());
   }
-  EXPECT_EQ(store.total_rows(), 500);
+  EXPECT_EQ(store.total_rows(), 50);
 }
 
 TEST(ConnectorTest, PackagesRowsetsIntoBatches) {

@@ -45,7 +45,7 @@ bool WaitFor(const std::function<bool()>& pred, int timeout_ms = 5000) {
 
 /// The row-oriented wire oracle: DecodeRows + protocol::EncodeRecord with
 /// the converter's exact wire-batch segmentation. The batch converter's
-/// output must be byte-identical to this, fast path or fallback.
+/// output must be byte-identical to this.
 std::vector<std::vector<uint8_t>> OracleBatches(const BackendResult& result,
                                                 size_t rows_per_batch) {
   std::vector<protocol::WireColumn> cols;
@@ -141,8 +141,7 @@ TEST(Tdf2Test, RoundTripsEveryPhysicalKind) {
 
   auto encoded = backend::EncodeTdfBatch(schema, *batch, 0, batch->rows);
   auto reader = backend::TdfReader::Open(encoded);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_TRUE(reader->is_columnar());
+  ASSERT_TRUE(reader.ok()) << reader.status();  // Open accepts only TDF2
   EXPECT_EQ(reader->row_count(), rows.size());
   auto decoded = reader->ReadBatch();
   ASSERT_TRUE(decoded.ok()) << decoded.status();

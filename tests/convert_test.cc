@@ -1,10 +1,11 @@
-// Result Converter tests: TDF -> wire batches, buffering semantics,
+// Result Converter tests: store spans -> wire batches, buffering semantics,
 // parallel-worker equivalence.
 
 #include <gtest/gtest.h>
 
 #include "backend/connector.h"
 #include "convert/result_converter.h"
+#include "vdb/column_batch.h"
 #include "vdb/engine.h"
 
 namespace hyperq::convert {
@@ -14,21 +15,30 @@ backend::BackendResult MakeBackendResult(int64_t rows) {
   backend::BackendResult result;
   result.columns = {{"A", SqlType::Int()}, {"S", SqlType::Varchar(16)}};
   result.store = std::make_shared<backend::ResultStore>();
-  backend::TdfWriter writer(result.columns);
+  result.store->set_schema(result.columns);
+  vdb::BatchBuilder builder({SqlType::Int(), SqlType::Varchar(16)});
   for (int64_t i = 0; i < rows; ++i) {
     EXPECT_TRUE(
-        writer
-            .AddRow({Datum::Int(i), Datum::String("s" + std::to_string(i))})
+        builder
+            .AppendRow({Datum::Int(i), Datum::String("s" + std::to_string(i))})
             .ok());
   }
-  size_t n = writer.row_count();
-  EXPECT_TRUE(result.store->Append(writer.Finish(), n).ok());
+  auto canon = backend::CanonicalizeBatch(result.columns, builder.Finish());
+  EXPECT_TRUE(canon.ok()) << canon.status();
+  EXPECT_TRUE(result.store->AppendBatch(*canon, 0, (*canon)->rows).ok());
   result.command_tag = "SELECT";
   return result;
 }
 
+ResultConverter MakeConverter(int parallelism, size_t rows_per_batch = 2048) {
+  ConverterOptions options;
+  options.parallelism = parallelism;
+  options.rows_per_batch = rows_per_batch;
+  return ResultConverter(options);
+}
+
 TEST(ConvertTest, AnnouncesTotalRowsBeforeBatches) {
-  ResultConverter converter(2, /*rows_per_batch=*/100);
+  ResultConverter converter = MakeConverter(2, /*rows_per_batch=*/100);
   auto converted = converter.Convert(MakeBackendResult(250));
   ASSERT_TRUE(converted.ok()) << converted.status();
   // Buffered conversion: the total is known up front (WP-A requirement).
@@ -40,7 +50,7 @@ TEST(ConvertTest, AnnouncesTotalRowsBeforeBatches) {
 }
 
 TEST(ConvertTest, EmptyRowsetStillCarriesSchema) {
-  ResultConverter converter(1);
+  ResultConverter converter = MakeConverter(1);
   auto converted = converter.Convert(MakeBackendResult(0));
   ASSERT_TRUE(converted.ok());
   EXPECT_EQ(converted->total_rows, 0u);
@@ -53,7 +63,7 @@ TEST(ConvertTest, CommandResultsConvertToNothing) {
   backend::BackendResult cmd;
   cmd.command_tag = "INSERT";
   cmd.affected_rows = 3;
-  ResultConverter converter(2);
+  ResultConverter converter = MakeConverter(2);
   auto converted = converter.Convert(cmd);
   ASSERT_TRUE(converted.ok());
   EXPECT_TRUE(converted->columns.empty());
@@ -62,8 +72,8 @@ TEST(ConvertTest, CommandResultsConvertToNothing) {
 
 TEST(ConvertTest, ParallelismDoesNotChangeBytes) {
   auto result = MakeBackendResult(997);  // odd size across batch boundaries
-  ResultConverter serial(1, 128);
-  ResultConverter parallel(4, 128);
+  ResultConverter serial = MakeConverter(1, 128);
+  ResultConverter parallel = MakeConverter(4, 128);
   auto a = serial.Convert(result);
   auto b = parallel.Convert(result);
   ASSERT_TRUE(a.ok() && b.ok());
@@ -74,7 +84,7 @@ TEST(ConvertTest, ParallelismDoesNotChangeBytes) {
 }
 
 TEST(ConvertTest, DecodesBackOnTheClientSide) {
-  ResultConverter converter(2, 64);
+  ResultConverter converter = MakeConverter(2, 64);
   auto converted = converter.Convert(MakeBackendResult(100));
   ASSERT_TRUE(converted.ok());
   size_t decoded = 0;
@@ -91,6 +101,24 @@ TEST(ConvertTest, DecodesBackOnTheClientSide) {
     }
   }
   EXPECT_EQ(decoded, 100u);
+}
+
+TEST(ConvertTest, NonCanonicalSpanIsInternalError) {
+  // A boxed kDatum column was never canonicalized for its INTEGER wire
+  // type; the converter refuses it instead of guessing at its bytes.
+  backend::BackendResult result;
+  result.columns = {{"A", SqlType::Int()}};
+  result.store = std::make_shared<backend::ResultStore>();
+  result.store->set_schema(result.columns);
+  vdb::BatchBuilder builder({SqlType::Int()});
+  ASSERT_TRUE(builder.AppendRow({Datum::String("7")}).ok());
+  auto batch = builder.Finish();
+  ASSERT_EQ(batch->columns[0]->kind, vdb::PhysKind::kDatum);
+  ASSERT_TRUE(result.store->AppendBatch(batch, 0, 1).ok());
+  auto converted = MakeConverter(1).Convert(result);
+  ASSERT_FALSE(converted.ok());
+  EXPECT_EQ(converted.status().code(), StatusCode::kInternal)
+      << converted.status();
 }
 
 }  // namespace

@@ -91,8 +91,11 @@ TEST(QueryGenTest, CloneIsDeepAndCountsClauses) {
 TEST(DifferentialTest, CanonicalRowsNormalizeDoublesAndNulls) {
   vdb::QueryResult r;
   r.columns = {{"a", SqlType::Int()}, {"b", SqlType::Varchar(10)}};
-  r.rows.push_back({Datum::MakeDouble(1.0000000001), Datum::Null()});
-  r.rows.push_back({Datum::Int(2), Datum::String("x")});
+  std::vector<vdb::Row> input = {
+      {Datum::MakeDouble(1.0000000001), Datum::Null()},
+      {Datum::Int(2), Datum::String("x")}};
+  r.chunks.push_back(vdb::BatchFromRows({SqlType::Int(), SqlType::Varchar(10)},
+                                        input, 0, input.size()));
   auto rows = fuzz::CanonicalRows(r);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], "1|<null>");
@@ -272,6 +275,55 @@ TEST(CampaignTest, IdentityOverrideFindsNothing) {
 
 // Acceptance bar: all 22 TPC-H shapes translate and execute equivalently
 // (canonical multiset) on every registered dialect.
+// IN, NOT IN and NOT (... IN ...) against subqueries holding NULLs (and a
+// NULL probe) must give the same rows on every dialect, including those
+// whose targets lower IN subqueries to EXISTS. The expected rows are the
+// SQL three-valued answers.
+TEST(DifferentialTest, InSubqueryWithNullsAgreesAcrossDialects) {
+  const std::vector<std::string> ddl = {
+      "CREATE TABLE T (A INTEGER)", "INS INTO T VALUES (1)",
+      "INS INTO T VALUES (2)",      "INS INTO T VALUES (NULL)",
+      "CREATE TABLE S (B INTEGER)", "INS INTO S VALUES (1)",
+      "INS INTO S VALUES (NULL)",   "CREATE TABLE U (B INTEGER)",
+      "INS INTO U VALUES (1)",      "CREATE TABLE E (B INTEGER)",
+  };
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {
+          {"SEL A FROM T WHERE A IN (SEL B FROM S)", {"1"}},
+          {"SEL A FROM T WHERE A NOT IN (SEL B FROM S)", {}},
+          {"SEL A FROM T WHERE NOT (A IN (SEL B FROM S))", {}},
+          {"SEL A FROM T WHERE A NOT IN (SEL B FROM U)", {"2"}},
+          {"SEL A FROM T WHERE NOT (A IN (SEL B FROM U))", {"2"}},
+          {"SEL A FROM T WHERE A NOT IN (SEL B FROM E)",
+           {"1", "2", "<null>"}},
+          {"SEL A FROM T WHERE A IN (SEL B FROM E)", {}},
+      };
+  for (const auto& name : serializer::DialectNames()) {
+    vdb::Engine engine;
+    service::ServiceOptions opts;
+    opts.profile = serializer::FindDialect(name)->Profile();
+    service::HyperQService service(&engine, opts);
+    auto sid = service.OpenSession("in");
+    ASSERT_TRUE(sid.ok()) << sid.status();
+    for (const auto& stmt : ddl) {
+      ASSERT_TRUE(service.Submit(*sid, stmt).ok()) << name << ": " << stmt;
+    }
+    for (const auto& [sql, expected] : cases) {
+      auto outcome = service.Submit(*sid, sql);
+      ASSERT_TRUE(outcome.ok()) << name << ": " << sql << "\n"
+                                << outcome.status();
+      auto rows = outcome->result.DecodeRows();
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      vdb::QueryResult decoded;
+      decoded.chunks.push_back(
+          vdb::BatchFromRows({SqlType::Int()}, *rows, 0, rows->size()));
+      EXPECT_EQ(fuzz::CanonicalRows(decoded), expected) << name << ": "
+                                                        << sql;
+    }
+    service.CloseSession(*sid);
+  }
+}
+
 TEST(FuzzTpchTest, All22QueriesEquivalentOnEveryDialect) {
   struct Target {
     std::string dialect;

@@ -26,6 +26,7 @@
 #include "protocol/client.h"
 #include "protocol/server.h"
 #include "service/hyperq_service.h"
+#include "vdb/column_batch.h"
 #include "vdb/engine.h"
 
 namespace hyperq {
@@ -189,6 +190,16 @@ TEST_F(LifecycleTest, GovernorBoundsSpillDisk) {
 
 // --- ResultStore: shed-or-spill ---------------------------------------------
 
+// An INTEGER batch of `rows` rows: 8 bytes a value, so more than the 64-byte
+// budgets below both in memory and encoded.
+std::shared_ptr<const vdb::ColumnBatch> IntBatch(int rows) {
+  vdb::BatchBuilder builder({SqlType::Int()});
+  for (int i = 0; i < rows; ++i) {
+    EXPECT_TRUE(builder.AppendRow({Datum::Int(i * 7 - 3)}).ok());
+  }
+  return builder.Finish();
+}
+
 TEST_F(LifecycleTest, StoreSpillsWhenGovernorDeniesMemory) {
   ResourceGovernorOptions opts;
   opts.global_memory_bytes = 64;  // any real batch is denied memory
@@ -197,8 +208,9 @@ TEST_F(LifecycleTest, StoreSpillsWhenGovernorDeniesMemory) {
   {
     backend::ResultStore store(/*memory_budget_bytes=*/1 << 20, dir, gov,
                                /*session_tag=*/7);
-    std::vector<uint8_t> batch(100, 0xAB);
-    ASSERT_TRUE(store.Append(batch, 1).ok());
+    store.set_schema({{"A", SqlType::Int()}});
+    auto batch = IntBatch(16);
+    ASSERT_TRUE(store.AppendBatch(batch, 0, batch->rows).ok());
     EXPECT_GT(store.spilled_bytes(), 0);
 
     auto stats = gov->stats();
@@ -209,13 +221,17 @@ TEST_F(LifecycleTest, StoreSpillsWhenGovernorDeniesMemory) {
     // The spilled batch reads back intact.
     size_t seen = 0;
     ASSERT_TRUE(store
-                    .Scan([&](const std::vector<uint8_t>& data) {
-                      seen += data.size();
-                      EXPECT_EQ(data, batch);
+                    .ScanSpans([&](const backend::BatchSpan& span) {
+                      EXPECT_NE(span.batch, batch);  // decoded from disk
+                      for (size_t r = 0; r < span.rows; ++r) {
+                        EXPECT_EQ(span.batch->RowAt(span.offset + r),
+                                  batch->RowAt(seen + r));
+                      }
+                      seen += span.rows;
                       return Status::OK();
                     })
                     .ok());
-    EXPECT_EQ(seen, batch.size());
+    EXPECT_EQ(seen, batch->rows);
   }
   // Store destroyed: spill budget returned, spill file removed.
   EXPECT_EQ(gov->stats().spill_bytes, 0);
@@ -231,8 +247,9 @@ TEST_F(LifecycleTest, StoreShedsWhenSpillBudgetExhausted) {
   std::string dir = MakeTempDir("shed");
   {
     backend::ResultStore store(1 << 20, dir, gov, 7);
-    std::vector<uint8_t> batch(100, 0xCD);
-    auto shed = store.Append(batch, 1);
+    store.set_schema({{"A", SqlType::Int()}});
+    auto batch = IntBatch(16);
+    auto shed = store.AppendBatch(batch, 0, batch->rows);
     ASSERT_FALSE(shed.ok());
     EXPECT_TRUE(shed.IsResourceExhausted());
     EXPECT_NE(shed.message().find("shed"), std::string::npos);

@@ -140,6 +140,31 @@ TEST_F(OptimizerTest, SubqueryConjunctsStayAboveJoins) {
   EXPECT_TRUE(has_subq);
 }
 
+TEST_F(OptimizerTest, TopLevelSubqueryConjunctsCascade) {
+  // A top-level filter runs its plain conjuncts first, as one filter, and
+  // each subquery conjunct above it as its own filter: the EXISTS probes
+  // only the rows AV > 10 kept.
+  const std::string sql =
+      "SELECT AV FROM A WHERE EXISTS (SELECT 1 FROM B WHERE B.K = A.K) "
+      "AND AV > 10";
+  auto plan = Optimize(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const xtra::Op* op = plan->get();
+  while (op->kind == xtra::OpKind::kProject) op = op->children[0].get();
+  ASSERT_EQ(op->kind, xtra::OpKind::kSelect);
+  EXPECT_EQ(op->predicate->kind, xtra::ExprKind::kSubqExists);
+  const xtra::Op* plain = op->children[0].get();
+  ASSERT_EQ(plain->kind, xtra::OpKind::kSelect);
+  EXPECT_EQ(plain->predicate->kind, xtra::ExprKind::kComp);
+  EXPECT_EQ(plain->children[0]->kind, xtra::OpKind::kGet);
+
+  auto r = engine_.Execute(sql);
+  ASSERT_TRUE(r.ok()) << r.status();
+  r->EnsureRows();
+  ASSERT_EQ(r->rows.size(), 1u);  // K=1 fails AV > 10; K=3 is not in B
+  EXPECT_EQ(r->rows[0][0].int_val(), 20);
+}
+
 TEST_F(OptimizerTest, CorrelatedConjunctLandsOnItsLeaf) {
   // Inside a subquery, a conjunct referencing only outer ids plus one
   // local leaf must be attached to that leaf (keeps the executor's
